@@ -35,7 +35,6 @@
 //   --loop-threads T        net mode: T shared event-loop threads instead
 //                           of one thread per replica (labels gain
 //                           a _sharedT suffix)
-//   --backend auto|poll|epoll   net mode: readiness backend
 //   --json PATH             write the rcp-svc-v1 report
 #include <algorithm>
 #include <chrono>
@@ -77,7 +76,6 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint32_t timeout_ms = 120000;
   std::uint32_t loop_threads = 0;
-  net::Reactor::Backend backend = net::Reactor::Backend::automatic;
   std::string json_path;
 };
 
@@ -106,8 +104,7 @@ int usage(const char* argv0) {
             << " [--mode sim|net] [--n N] [--k K] [--shards S] [--ops OPS]\n"
                "       [--window W] [--batching on|off|both] [--groups G]\n"
                "       [--threads T] [--seed S] [--timeout-ms T]\n"
-               "       [--loop-threads T] [--backend auto|poll|epoll]"
-               " [--json PATH]\n";
+               "       [--loop-threads T] [--json PATH]\n";
   return 2;
 }
 
@@ -172,19 +169,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--backend") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        if (s == "auto") {
-          opt.backend = net::Reactor::Backend::automatic;
-        } else if (s == "poll") {
-          opt.backend = net::Reactor::Backend::poll;
-        } else if (s == "epoll") {
-          opt.backend = net::Reactor::Backend::epoll;
-        } else {
-          return std::nullopt;
-        }
       } else if (flag == "--json") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -301,7 +285,6 @@ RunReport run_net(const Options& opt, bool batching) {
   cc.limits.max_queued_frames = std::size_t{1} << 17;
   cc.limits.backpressure_high_water = std::size_t{1} << 16;
   cc.loop_threads = opt.loop_threads;
-  cc.backend = opt.backend;
 
   net::Cluster cluster(cc, [&](ProcessId id) {
     service::ReplicaConfig rc;

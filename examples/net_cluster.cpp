@@ -28,7 +28,6 @@
 //   --timeout-ms T          give up after T ms (default 30000)
 //   --loop-threads T        drive all n nodes from T shared event-loop
 //                           threads (default 0 = one thread per node)
-//   --backend auto|poll|epoll   readiness backend (default auto)
 //   --json PATH             write the rcp-net-v1 report
 //   --sweep N1,N2,...       benchmark sweep: run the protocol at each n,
 //                           thread-per-node and shared-loop side by side,
@@ -80,7 +79,6 @@ struct Options {
   bool fork_mode = false;
   std::uint16_t base_port = 0;
   std::uint32_t loop_threads = 0;
-  net::Reactor::Backend backend = net::Reactor::Backend::automatic;
   std::vector<std::uint32_t> sweep_ns;
 };
 
@@ -92,8 +90,8 @@ int usage(const char* argv0) {
          " [--byz B]\n"
          "       [--crash ID@PHASE]... [--disconnect A:B@D]...\n"
          "       [--drop P] [--delay MIN:MAX] [--seed S] [--timeout-ms T]\n"
-         "       [--loop-threads T] [--backend auto|poll|epoll]\n"
-         "       [--json PATH] [--sweep N1,N2,...] [--fork --base-port P]\n";
+         "       [--loop-threads T] [--json PATH] [--sweep N1,N2,...]\n"
+         "       [--fork --base-port P]\n";
   return 2;
 }
 
@@ -202,19 +200,6 @@ std::optional<Options> parse(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
         opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--backend") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        if (s == "auto") {
-          opt.backend = net::Reactor::Backend::automatic;
-        } else if (s == "poll") {
-          opt.backend = net::Reactor::Backend::poll;
-        } else if (s == "epoll") {
-          opt.backend = net::Reactor::Backend::epoll;
-        } else {
-          return std::nullopt;
-        }
       } else if (flag == "--sweep") {
         const char* v = next();
         if (v == nullptr) return std::nullopt;
@@ -322,7 +307,6 @@ net::ClusterConfig cluster_config(const Options& opt, const Plan& plan) {
   cfg.arbitrary_faulty = plan.byzantine_ids;
   cfg.timeout_ms = opt.timeout_ms;
   cfg.loop_threads = opt.loop_threads;
-  cfg.backend = opt.backend;
   return cfg;
 }
 
@@ -434,12 +418,15 @@ struct SweepRun {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double p999_ms = 0.0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t spurious_retransmits = 0;
 };
 
 /// Runs the protocol at every requested n, thread-per-node and shared-loop
-/// side by side, and reports throughput + tail latency per cell. The
-/// labels ({protocol}_n{N}_tpn / _shared{T}) are what BENCH_BASELINE.json
-/// tracks and tools/check_bench_regression.py --net gates on.
+/// side by side, and reports throughput, tail latency and resent frames
+/// per cell. The labels ({protocol}_n{N}_tpn / _shared{T}) are what
+/// BENCH_BASELINE.json tracks and tools/check_bench_regression.py --net
+/// gates on (throughput against the baseline, and zero retransmits).
 int run_sweep(const Options& opt) {
   const std::uint32_t shared_threads =
       opt.loop_threads > 0 ? opt.loop_threads : 4;
@@ -473,17 +460,20 @@ int run_sweep(const Options& opt) {
       run.p50_ms = lat.quantile_ms(0.50);
       run.p99_ms = lat.quantile_ms(0.99);
       run.p999_ms = lat.quantile_ms(0.999);
+      run.retransmits = result.total_retransmits;
+      run.spurious_retransmits = result.total_spurious_retransmits;
       std::cout << run.label << ": " << (run.ok ? "ok" : "FAILED")
                 << "  msgs/s=" << format_double(run.msgs_per_sec, 1)
                 << "  p50=" << format_double(run.p50_ms, 3)
                 << "ms p99=" << format_double(run.p99_ms, 3)
-                << "ms p999=" << format_double(run.p999_ms, 3) << "ms\n";
+                << "ms p999=" << format_double(run.p999_ms, 3)
+                << "ms retransmits=" << run.retransmits << "\n";
       runs.push_back(std::move(run));
     }
   }
 
   Table table({"label", "n", "threads", "ok", "msgs/s", "p50ms", "p99ms",
-               "p999ms"});
+               "p999ms", "retransmits"});
   for (const SweepRun& run : runs) {
     table.row()
         .cell(run.label)
@@ -494,7 +484,8 @@ int run_sweep(const Options& opt) {
         .cell(format_double(run.msgs_per_sec, 1))
         .cell(format_double(run.p50_ms, 3))
         .cell(format_double(run.p99_ms, 3))
-        .cell(format_double(run.p999_ms, 3));
+        .cell(format_double(run.p999_ms, 3))
+        .cell(run.retransmits);
   }
   table.print(std::cout);
 
@@ -522,6 +513,8 @@ int run_sweep(const Options& opt) {
       j.field("p50_ms", run.p50_ms);
       j.field("p99_ms", run.p99_ms);
       j.field("p999_ms", run.p999_ms);
+      j.field("retransmits", run.retransmits);
+      j.field("spurious_retransmits", run.spurious_retransmits);
       j.end_object();
     }
     j.end_array();

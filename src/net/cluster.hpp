@@ -58,8 +58,6 @@ struct ClusterConfig {
   std::uint32_t timeout_ms = 30000;
   /// 0 = one thread per node; T > 0 = min(T, n) shared loop threads.
   std::uint32_t loop_threads = 0;
-  /// Readiness backend for every loop (automatic = epoll on Linux).
-  Reactor::Backend backend = Reactor::Backend::automatic;
 };
 
 struct NodeOutcome {
@@ -85,6 +83,9 @@ struct ClusterResult {
   std::uint64_t total_reconnects = 0;
   std::uint64_t total_retransmits = 0;
   std::uint64_t total_spurious_retransmits = 0;
+  std::uint64_t total_rewinds_reconnect = 0;
+  std::uint64_t total_rewinds_gap = 0;
+  std::uint64_t total_rewinds_drop_timer = 0;
   std::vector<NodeOutcome> nodes;
 
   /// Decision + agreement both hold and no node loop errored.

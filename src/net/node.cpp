@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "net/loop.hpp"
+#include "net/reactor.hpp"
 #include "runtime/seeding.hpp"
 
 namespace rcp::net {
@@ -97,9 +98,6 @@ Node::Node(NodeConfig cfg, std::unique_ptr<sim::Process> process)
     // Dial direction: higher id dials lower, so every pair has exactly
     // one connection and dial races are impossible.
     links_[p].init(p, cfg_.peers[p], /*dialer=*/p < cfg_.id);
-    links_[p].configure_rto(cfg_.limits.adaptive_rto,
-                            cfg_.limits.retransmit_timeout_ms,
-                            cfg_.limits.rto_min_ms, cfg_.limits.rto_max_ms);
   }
   stats_.peers.resize(cfg_.n);
 
@@ -153,16 +151,15 @@ std::optional<Value> Node::decision() const noexcept {
 }
 
 void Node::run() {
-  EventLoop loop(cfg_.backend);
+  EventLoop loop;
   loop.add(*this);
   loop.run();
 }
 
 // ---- EventLoop interface ----------------------------------------------
 
-void Node::watch_fd(int fd, std::uint32_t sub, unsigned mask) {
-  loop_->watch(
-      fd, (static_cast<std::uint64_t>(loop_index_) << 32) | sub, mask);
+void Node::watch_fd(int fd, std::uint32_t sub) {
+  loop_->watch(fd, (static_cast<std::uint64_t>(loop_index_) << 32) | sub);
 }
 
 void Node::loop_start(EventLoop& loop, std::uint32_t index,
@@ -170,9 +167,9 @@ void Node::loop_start(EventLoop& loop, std::uint32_t index,
   loop_ = &loop;
   loop_index_ = index;
   listen();
-  watch_fd(wake_rd_, kSubWake, Reactor::kRead);
+  watch_fd(wake_rd_, kSubWake);
   wake_watched_ = true;
-  watch_fd(listener_.fd.get(), kSubListener, Reactor::kRead);
+  watch_fd(listener_.fd.get(), kSubListener);
   listener_watched_ = true;
   LoopContext ctx(*this);
   process_->on_start(ctx);
@@ -274,9 +271,7 @@ int Node::loop_timeout_ms(Clock::time_point now) const {
       consider(link.next_dial_at);
     }
     consider(link.handshake_deadline);
-    if (link.in_flight()) {
-      consider(link.retransmit_deadline);
-    }
+    consider(link.retransmit_deadline);
     if (link.state == PeerLink::State::established) {
       const auto eligible = link.next_eligible_at();
       if (eligible != Clock::time_point::max()) {
@@ -324,46 +319,6 @@ bool Node::loop_has_ready_work() const noexcept {
     }
   }
   return false;
-}
-
-void Node::loop_refresh_masks(Clock::time_point now) {
-  // Level-triggered fallback only: recompute each link's interest from
-  // its state (the poll path's analogue of the old build_interest_set).
-  // Write interest is wanted only after EAGAIN — while ev_writable holds,
-  // the service pass flushes opportunistically without kernel help.
-  for (PeerLink& link : links_) {
-    if (!link.fd.valid()) {
-      continue;
-    }
-    unsigned mask = 0;
-    switch (link.state) {
-      case PeerLink::State::connecting:
-        mask = Reactor::kWrite;
-        break;
-      case PeerLink::State::hello_sent:
-        mask = Reactor::kRead;
-        if (!link.ev_writable && link.write_off < link.write_buf.size()) {
-          mask |= Reactor::kWrite;
-        }
-        break;
-      case PeerLink::State::established:
-        if (!link.read_paused) {
-          mask |= Reactor::kRead;
-        }
-        if (!link.ev_writable &&
-            (link.write_off < link.write_buf.size() ||
-             link.transmittable(now) || link.ack_pending)) {
-          mask |= Reactor::kWrite;
-        }
-        break;
-      case PeerLink::State::idle:
-        break;
-    }
-    loop_->change(
-        link.fd.get(),
-        (static_cast<std::uint64_t>(loop_index_) << 32) | link.peer(),
-        mask);
-  }
 }
 
 bool Node::loop_finished() const noexcept {
@@ -419,8 +374,7 @@ void Node::start_due_dials(Clock::time_point now) {
     link.state = PeerLink::State::connecting;
     link.handshake_deadline =
         now + milliseconds(cfg_.limits.handshake_timeout_ms);
-    watch_fd(link.fd.get(), link.peer(),
-             Reactor::kRead | Reactor::kWrite);
+    watch_fd(link.fd.get(), link.peer());
   }
 }
 
@@ -444,7 +398,7 @@ void Node::accept_new_connections(Clock::time_point now) {
     // The hello may already sit in the kernel buffer from before the
     // registration; start readable so the first service pass reads.
     pc.readable = true;
-    watch_fd(pc.fd.get(), pc.token, Reactor::kRead);
+    watch_fd(pc.fd.get(), pc.token);
     pending_.push_back(std::move(pc));
   }
 }
@@ -513,8 +467,7 @@ void Node::attach_pending(std::size_t index, ProcessId peer) {
   // Re-address the registration from the pending token to the peer id.
   loop_->change(link.fd.get(),
                 (static_cast<std::uint64_t>(loop_index_) << 32) |
-                    link.peer(),
-                Reactor::kRead | Reactor::kWrite);
+                    link.peer());
   link.ev_readable = had_bytes_buffered;
   link.ev_writable = true;  // fresh socket: optimistically writable
   link.write_buf.clear();
@@ -543,7 +496,7 @@ void Node::establish_link(PeerLink& link) {
   // may be lost; the receiver's dedupe discards what did arrive. The
   // mirror image holds inbound: the peer rewinds too, so duplicates of
   // already-delivered seqs are expected, not spurious retransmits.
-  link.rewind_unsent();
+  link.rewind_unsent(Rewind::reconnect);
   link.expect_rewind_dups();
   if (link.delivered_seq() > 0) {
     // Tell the peer where our inbound stream stands so it can release
@@ -673,19 +626,22 @@ void Node::process_link_input(PeerLink& link) {
             const std::size_t before = link.queue_depth();
             link.on_ack(frame->seq, now, &stats_.latency);
             if (link.queue_depth() != before) {
-              // Ack progress restarts (or disarms) the retransmit clock.
+              // Ack progress disarms the drop timer once the peer has the
+              // dropped frame, and restarts it otherwise: the link is
+              // moving, only not yet past the hole.
               link.stale_acks = 0;
               link.retransmit_deadline =
-                  link.in_flight() ? now + milliseconds(link.rto_ms())
-                                   : Clock::time_point{};
+                  link.drop_unrepaired()
+                      ? now + milliseconds(cfg_.limits.retransmit_timeout_ms)
+                      : Clock::time_point{};
             } else if (link.in_flight() && ++link.stale_acks >= 2) {
               // Fast retransmit: the peer acks every arrival, so repeated
               // acks with no progress mean it is discarding ahead-of-stream
-              // frames behind a loss. Rewind now instead of stalling for
-              // the full retransmit timeout.
+              // frames behind a loss. The rewind reschedules every dropped
+              // frame, so the drop timer has nothing left to wait for.
               link.stale_acks = 0;
-              link.rewind_unsent();
-              link.retransmit_deadline = now + milliseconds(link.rto_ms());
+              link.rewind_unsent(Rewind::gap);
+              link.retransmit_deadline = {};
             }
             break;
           }
@@ -816,15 +772,15 @@ void Node::check_timers(Clock::time_point now) {
       reset_link(link, now);
       continue;
     }
-    if (link.state == PeerLink::State::established && link.in_flight() &&
+    if (link.state == PeerLink::State::established &&
         !is_unarmed(link.retransmit_deadline) &&
         link.retransmit_deadline <= now) {
-      // No ack progress: assume loss (injected or real) and go back to
-      // the first unacked frame. The RTO doubles each time this fires so
-      // an unlucky estimate cannot melt the link into a rewind storm.
-      link.rewind_unsent();
-      link.backoff_rto();
-      link.retransmit_deadline = now + milliseconds(link.rto_ms());
+      // A drop-injected frame went unrepaired for the whole timeout — a
+      // dropped tail has no successors to produce the no-progress acks
+      // that trigger a gap rewind. Go back to the first unacked frame; a
+      // re-drop during the resend arms the timer again.
+      link.rewind_unsent(Rewind::drop_timer);
+      link.retransmit_deadline = {};
     }
   }
 }
@@ -838,9 +794,10 @@ void Node::flush_link(PeerLink& link, Clock::time_point now) {
     return;  // known-blocked; wait for the kernel's writability edge
   }
   const bool frames = link.state == PeerLink::State::established;
-  const auto arm_retransmit = [&](const WritevPlan::CommitResult& res) {
-    if (res.advanced && is_unarmed(link.retransmit_deadline)) {
-      link.retransmit_deadline = now + milliseconds(link.rto_ms());
+  const auto commit = [&](std::size_t written) {
+    if (plan_.commit(link, written) && is_unarmed(link.retransmit_deadline)) {
+      link.retransmit_deadline =
+          now + milliseconds(cfg_.limits.retransmit_timeout_ms);
     }
   };
   while (true) {
@@ -853,8 +810,9 @@ void Node::flush_link(PeerLink& link, Clock::time_point now) {
     }
     if (plan_.iov_count() == 0) {
       // Every candidate was drop-injected: nothing to write, but the
-      // cursor still advances (the retransmit timer recovers them).
-      arm_retransmit(plan_.commit(link, 0));
+      // cursor still advances (a gap rewind or the drop timer recovers
+      // them).
+      commit(0);
       continue;
     }
     msghdr mh{};
@@ -867,14 +825,14 @@ void Node::flush_link(PeerLink& link, Clock::time_point now) {
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // Leading drop-injected frames still advance; real bytes stay.
-        arm_retransmit(plan_.commit(link, 0));
+        commit(0);
         link.ev_writable = false;
         return;
       }
       reset_link(link, now);
       return;
     }
-    arm_retransmit(plan_.commit(link, static_cast<std::size_t>(wrote)));
+    commit(static_cast<std::size_t>(wrote));
     if (static_cast<std::size_t>(wrote) < plan_.total_bytes()) {
       // Short write: the kernel buffer filled mid-batch; the remainder of
       // the partial frame now sits in write_buf awaiting the next edge.

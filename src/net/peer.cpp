@@ -1,7 +1,6 @@
 #include "net/peer.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace rcp::net {
 
@@ -39,10 +38,8 @@ bool PeerLink::enqueue(Bytes payload, Clock::time_point eligible_at,
 
 void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
                       LatencyHistogram* latency) noexcept {
-  if (!queue_.empty() && queue_[0].seq <= acked) {
-    // Ack progress: the link is alive, so any timeout backoff can relax
-    // back to the estimator-derived RTO.
-    rto_current_ms_ = rto_has_sample_ ? rto_derived_ms_ : rto_current_ms_;
+  if (acked >= dropped_seq_) {
+    dropped_seq_ = 0;  // the peer has every dropped frame: nothing to repair
   }
   while (!queue_.empty() && queue_[0].seq <= acked) {
     if (now != Clock::time_point{}) {
@@ -57,9 +54,6 @@ void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
       if (latency != nullptr) {
         latency->record(ns);
       }
-      if (!queue_[0].retransmitted) {  // Karn: ambiguous samples excluded
-        note_rtt(static_cast<double>(ns) / 1e6);
-      }
     }
     queue_.pop_front();
     if (unsent_ > 0) {
@@ -69,40 +63,28 @@ void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
   counters.queue_depth = queue_.size();
 }
 
-void PeerLink::note_rtt(double sample_ms) noexcept {
-  if (!rto_adaptive_) {
-    return;
-  }
-  if (!rto_has_sample_) {
-    // RFC 6298 §2.2: first measurement seeds both estimators.
-    srtt_ms_ = sample_ms;
-    rttvar_ms_ = sample_ms / 2.0;
-    rto_has_sample_ = true;
-  } else {
-    // RFC 6298 §2.3: rttvar before srtt, beta = 1/4, alpha = 1/8.
-    rttvar_ms_ =
-        0.75 * rttvar_ms_ + 0.25 * std::abs(srtt_ms_ - sample_ms);
-    srtt_ms_ = 0.875 * srtt_ms_ + 0.125 * sample_ms;
-  }
-  const double rto = srtt_ms_ + std::max(1.0, 4.0 * rttvar_ms_);
-  rto_derived_ms_ = static_cast<std::uint32_t>(
-      std::clamp(rto, static_cast<double>(rto_min_ms_),
-                 static_cast<double>(rto_max_ms_)));
-  rto_current_ms_ = rto_derived_ms_;
-}
-
-void PeerLink::backoff_rto() noexcept {
-  if (rto_adaptive_ && rto_has_sample_) {
-    rto_current_ms_ = std::min(rto_current_ms_ * 2, rto_max_ms_);
-  }
-}
-
-void PeerLink::rewind_unsent() noexcept {
-  counters.retransmits += unsent_;
-  for (std::size_t i = 0; i < unsent_; ++i) {
-    queue_[i].retransmitted = true;
+void PeerLink::rewind_unsent(Rewind cause) noexcept {
+  if (unsent_ > 0) {
+    counters.retransmits += unsent_;
+    switch (cause) {
+      case Rewind::reconnect:
+        ++counters.rewinds_reconnect;
+        break;
+      case Rewind::gap:
+        ++counters.rewinds_gap;
+        break;
+      case Rewind::drop_timer:
+        ++counters.rewinds_drop_timer;
+        break;
+    }
   }
   unsent_ = 0;
+  dropped_seq_ = 0;
+}
+
+void PeerLink::note_dropped(std::uint64_t seq) noexcept {
+  ++counters.drops_injected;
+  dropped_seq_ = std::max(dropped_seq_, seq);
 }
 
 Clock::time_point PeerLink::next_eligible_at() const noexcept {
@@ -112,18 +94,12 @@ Clock::time_point PeerLink::next_eligible_at() const noexcept {
   return queue_[unsent_].eligible_at;
 }
 
-void PeerLink::clear_queue() noexcept {
-  queue_.clear();
-  unsent_ = 0;
-  counters.queue_depth = 0;
-}
-
 int PeerLink::classify_and_advance(std::uint64_t seq) noexcept {
   if (seq < next_expected_) {
     ++counters.dup_frames;
     if (!gap_since_delivery_ && !rewind_dups_expected_) {
       // No loss episode and no reconnect explains this duplicate: the
-      // sender's retransmit fired while our ack was still in flight.
+      // sender rewound frames this receiver already had.
       ++counters.spurious_retransmits;
     }
     return -1;
@@ -140,9 +116,8 @@ int PeerLink::classify_and_advance(std::uint64_t seq) noexcept {
   return 0;
 }
 
-WritevPlan::CommitResult WritevPlan::commit(PeerLink& link,
-                                            std::size_t written) const {
-  CommitResult res;
+bool WritevPlan::commit(PeerLink& link, std::size_t written) const {
+  bool dropped = false;
   link.counters.bytes_out += written;
   std::size_t left = written;
 
@@ -160,10 +135,9 @@ WritevPlan::CommitResult WritevPlan::commit(PeerLink& link,
       // A drop-injected frame "transmits" zero bytes; its fate does not
       // depend on the kernel, only on every earlier frame having been
       // consumed — which this in-order walk guarantees.
-      ++link.counters.drops_injected;
+      link.note_dropped(link.next_unsent().seq);
       link.advance_unsent();
-      ++res.frames_dropped;
-      res.advanced = true;
+      dropped = true;
       continue;
     }
     if (left == 0) {
@@ -172,8 +146,6 @@ WritevPlan::CommitResult WritevPlan::commit(PeerLink& link,
     if (left >= fs.bytes) {
       left -= fs.bytes;
       link.advance_unsent();
-      ++res.frames_sent;
-      res.advanced = true;
       continue;
     }
     // Partial frame: the kernel took a prefix. Spill the remainder into
@@ -198,11 +170,9 @@ WritevPlan::CommitResult WritevPlan::commit(PeerLink& link,
           span.end());
     }
     link.advance_unsent();
-    ++res.frames_sent;
-    res.advanced = true;
     break;
   }
-  return res;
+  return dropped;
 }
 
 }  // namespace rcp::net

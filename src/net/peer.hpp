@@ -1,17 +1,21 @@
 // Per-peer link state: one reliable, ordered, framed stream to one peer.
 //
-// The paper's message system is "reliable but arbitrarily delayed". A raw
-// TCP connection is reliable only while it lives — bytes in flight when a
-// connection dies (or frames skipped by drop injection) are gone. The link
-// therefore runs its own thin reliability layer on top of the framed
-// stream:
+// The paper's message system is "reliable but arbitrarily delayed". A live
+// TCP connection already is that channel; it loses frames only when it
+// dies (bytes in flight are gone) or when drop injection skips them. The
+// link therefore runs a thin reliability layer on top of the framed
+// stream that repairs exactly those two losses and guesses at nothing:
 //
 //   * every data frame carries a per-link sequence number, assigned at
 //     enqueue and retained until cumulatively acked by the receiver;
-//   * on (re)connect, transmission rewinds to the first unacked frame;
-//   * on retransmit timeout with no ack progress, likewise (go-back-N);
+//   * transmission rewinds to the first unacked frame (go-back-N) for one
+//     of three causes (Rewind): a reconnect, repeated no-progress acks
+//     (the receiver discards frames behind a hole), or a drop-injected
+//     frame still unacked after retransmit_timeout_ms (a dropped tail has
+//     no successors to produce those acks). The timer runs only while a
+//     drop-injected frame is unacked, so delay never triggers a resend;
 //   * the receive side tracks next_expected and discards duplicates
-//     (possible after reconnect) and ahead-of-stream gaps (possible after
+//     (possible after a rewind) and ahead-of-stream gaps (possible after
 //     an injected drop) — the sender's rewind fills the gap in order.
 //
 // The outbound queue is bounded (NodeLimits::max_queued_frames). When a
@@ -62,10 +66,13 @@ struct Outbound {
   Clock::time_point eligible_at{};
   /// When the sender queued it — the start of the latency measurement.
   Clock::time_point enqueued_at{};
-  /// Set when a rewind schedules this frame for re-transmission. Karn's
-  /// algorithm: an ack for a retransmitted frame is ambiguous (it may
-  /// answer either transmission), so it yields no RTT sample.
-  bool retransmitted = false;
+};
+
+/// Why a link went back to its first unacked frame.
+enum class Rewind : std::uint8_t {
+  reconnect,   ///< new connection: bytes in flight on the old one may be lost
+  gap,         ///< repeated no-progress acks: the peer discards behind a hole
+  drop_timer,  ///< a drop-injected frame stayed unacked for the timeout
 };
 
 /// Bounded-growth ring of Outbound frames. A deque would allocate a block
@@ -97,12 +104,6 @@ class OutboundRing {
     slots_[head_].payload = Bytes{};
     head_ = (head_ + 1) & mask_;
     --size_;
-  }
-
-  void clear() noexcept {
-    while (size_ > 0) {
-      pop_front();
-    }
   }
 
  private:
@@ -169,9 +170,20 @@ class PeerLink {
   void on_ack(std::uint64_t acked, Clock::time_point now = {},
               LatencyHistogram* latency = nullptr) noexcept;
 
-  /// Rewinds transmission to the first unacked frame (reconnect or
-  /// retransmit timeout); counts skipped-over frames as retransmits.
-  void rewind_unsent() noexcept;
+  /// Rewinds transmission to the first unacked frame; counts the frames
+  /// it re-sends as retransmits and the rewind under its cause. Every
+  /// drop-injected frame is rescheduled, so this also clears
+  /// drop_unrepaired().
+  void rewind_unsent(Rewind cause) noexcept;
+
+  /// Records that the frame with this seq was drop-injected.
+  void note_dropped(std::uint64_t seq) noexcept;
+
+  /// True while a drop-injected frame is unacked and no rewind has
+  /// rescheduled it — the only state in which the retransmit timer runs.
+  [[nodiscard]] bool drop_unrepaired() const noexcept {
+    return dropped_seq_ != 0;
+  }
 
   /// Earliest instant a queued-but-ineligible frame becomes transmittable
   /// (delay injection), or time_point::max() if none.
@@ -184,50 +196,7 @@ class PeerLink {
     return queue_.size();
   }
 
-  /// Drops all queued frames (node shutdown). The stream positions are
-  /// kept so the seq space stays consistent.
-  void clear_queue() noexcept;
-
   [[nodiscard]] std::uint64_t assign_seq() noexcept { return ++last_seq_; }
-
-  // ---- Adaptive retransmit timeout (RFC 6298 shape) ------------------
-  //
-  // The fixed timeout either stalls recovery (too long for a fast link)
-  // or rewinds spuriously (too short under queueing). Instead the link
-  // estimates SRTT/RTTVAR from the enqueue → cumulative-ack samples the
-  // latency histogram already measures, and arms the retransmit clock at
-  //   rto = clamp(srtt + max(granularity, 4·rttvar), rto_min, rto_max).
-  // Retransmitted frames contribute no samples (Karn), and the RTO
-  // doubles after each timeout-triggered rewind until fresh acks re-seed
-  // the estimator.
-
-  /// Installs the estimator configuration (copied from NodeLimits at node
-  /// setup; this header cannot depend on node.hpp). `initial_ms` is the
-  /// timeout used before the first sample — and always, when `adaptive`
-  /// is off.
-  void configure_rto(bool adaptive, std::uint32_t initial_ms,
-                     std::uint32_t min_ms, std::uint32_t max_ms) noexcept {
-    rto_adaptive_ = adaptive;
-    rto_initial_ms_ = initial_ms;
-    rto_min_ms_ = min_ms;
-    rto_max_ms_ = max_ms;
-  }
-
-  /// Current value for arming the retransmit clock, in milliseconds.
-  [[nodiscard]] std::uint32_t rto_ms() const noexcept {
-    return rto_adaptive_ && rto_has_sample_ ? rto_current_ms_
-                                            : rto_initial_ms_;
-  }
-
-  /// Exponential backoff after a timeout-triggered rewind; the next
-  /// accepted sample re-derives the RTO from srtt/rttvar.
-  void backoff_rto() noexcept;
-
-  [[nodiscard]] bool has_rtt_sample() const noexcept {
-    return rto_has_sample_;
-  }
-  [[nodiscard]] double srtt_ms() const noexcept { return srtt_ms_; }
-  [[nodiscard]] double rttvar_ms() const noexcept { return rttvar_ms_; }
 
   /// Receive side: a (re)connect makes the sender rewind to its first
   /// unacked frame, so duplicates of already-delivered seqs are expected
@@ -260,13 +229,14 @@ class PeerLink {
   std::uint32_t backoff_ms = 0;
   /// Handshake must complete by this instant or the attempt is abandoned.
   Clock::time_point handshake_deadline{};
-  /// Retransmit: rewind if no ack progress by this instant.
+  /// Drop timer: rewind at this instant unless acks pass the dropped
+  /// frame first. Armed only while drop_unrepaired().
   Clock::time_point retransmit_deadline{};
   bool ack_pending = false;   ///< we owe the peer a cumulative ack
   /// No-progress acks received while frames are in flight. The receiver
   /// acks every arrival, so a no-progress ack means it is discarding
-  /// ahead-of-stream frames behind a loss — rewind without waiting for
-  /// the retransmit timeout (fast retransmit).
+  /// ahead-of-stream frames behind a loss — rewind (Rewind::gap) without
+  /// waiting for the drop timer.
   std::uint32_t stale_acks = 0;
   bool read_paused = false;   ///< backpressure: stop reading this peer
   bool ever_connected = false;
@@ -277,10 +247,6 @@ class PeerLink {
   PeerCounters counters;
 
  private:
-  /// Folds one non-retransmitted enqueue → ack sample into srtt/rttvar
-  /// and re-derives the RTO.
-  void note_rtt(double sample_ms) noexcept;
-
   ProcessId peer_ = 0;
   PeerAddress addr_;
   bool dialer_ = false;
@@ -290,27 +256,15 @@ class PeerLink {
   std::uint64_t last_seq_ = 0;    ///< last assigned outbound seq
   std::uint64_t next_expected_ = 1;  ///< next inbound seq to deliver
 
-  // RTO estimator (configure_rto installs the NodeLimits values).
-  bool rto_adaptive_ = true;
-  std::uint32_t rto_initial_ms_ = 100;
-  std::uint32_t rto_min_ms_ = 20;
-  std::uint32_t rto_max_ms_ = 2000;
-  bool rto_has_sample_ = false;
-  double srtt_ms_ = 0.0;
-  double rttvar_ms_ = 0.0;
-  /// Estimator-derived value (no backoff applied).
-  std::uint32_t rto_derived_ms_ = 0;
-  /// Active value: derived, doubled by backoff_rto() after timeouts.
-  /// Ack progress collapses it back to derived — Karn keeps retransmitted
-  /// frames out of the estimator, so without this a burst of losses would
-  /// pin the RTO at the cap for the rest of the recovery.
-  std::uint32_t rto_current_ms_ = 0;
+  /// Highest drop-injected seq not yet rescheduled by a rewind; 0 = none.
+  std::uint64_t dropped_seq_ = 0;
 
   // Spurious-retransmit detection (receive side). A duplicate seq means
   // the sender rewound; it was necessary only if this receiver saw a gap
   // since its last in-order delivery (loss recovery) or a reconnect made
   // rewinding mandatory. Any other duplicate is a retransmit the sender
-  // did not need — its RTO fired while the ack was still in flight.
+  // did not need, e.g. its drop timer fired while our acks for the frames
+  // before the dropped one were still in flight.
   bool gap_since_delivery_ = false;
   bool rewind_dups_expected_ = false;
 };
@@ -381,16 +335,10 @@ class WritevPlan {
     return total_bytes_;
   }
 
-  struct CommitResult {
-    std::size_t frames_sent = 0;
-    std::size_t frames_dropped = 0;
-    /// True if the unsent cursor moved (arms the retransmit clock).
-    bool advanced = false;
-  };
-
   /// Applies `written` bytes (the sendmsg return; 0 is valid and still
-  /// commits leading drop-injected frames) to the link.
-  CommitResult commit(PeerLink& link, std::size_t written) const;
+  /// commits leading drop-injected frames) to the link. Returns true if
+  /// it committed a drop-injected frame, which arms the drop timer.
+  bool commit(PeerLink& link, std::size_t written) const;
 
  private:
   struct FrameSlot {

@@ -4,18 +4,20 @@
 // (python -c "json.load(...)" one-liners; see docs/PERF.md).
 //
 // Layout:
-//   { schema, protocol, n, seed, loop_threads, backend,
+//   { schema, protocol, n, seed, loop_threads,
 //     all_correct_decided, agreement, timed_out, value,
 //     elapsed_seconds,
 //     totals: { delivered, sent, bytes_out, reconnects, retransmits,
-//               spurious_retransmits, msgs_per_sec, decisions_per_sec,
+//               spurious_retransmits, rewinds_reconnect, rewinds_gap,
+//               rewinds_drop_timer, msgs_per_sec, decisions_per_sec,
 //               latency: { count, mean_ms, p50_ms, p99_ms, p999_ms } },
 //     nodes: [ { id, correct, decision, phase, crashed, error,
 //                events, msgs_sent, msgs_delivered, read_pauses,
 //                latency: { count, mean_ms, p50_ms, p99_ms, p999_ms },
 //                peers: [ { bytes_out, bytes_in, msgs_out, msgs_in,
 //                           reconnects, retransmits, spurious_retransmits,
-//                           drops_injected, delays_injected, dup_frames,
+//                           rewinds_reconnect, rewinds_gap,
+//                           rewinds_drop_timer, drops_injected, delays_injected, dup_frames,
 //                           gap_frames, overflow_drops,
 //                           queue_peak } ] } ] }
 //
@@ -56,6 +58,9 @@ inline void write_peer_counters(bench::JsonWriter& j,
   j.field("reconnects", pc.reconnects);
   j.field("retransmits", pc.retransmits);
   j.field("spurious_retransmits", pc.spurious_retransmits);
+  j.field("rewinds_reconnect", pc.rewinds_reconnect);
+  j.field("rewinds_gap", pc.rewinds_gap);
+  j.field("rewinds_drop_timer", pc.rewinds_drop_timer);
   j.field("drops_injected", pc.drops_injected);
   j.field("delays_injected", pc.delays_injected);
   j.field("dup_frames", pc.dup_frames);
@@ -104,17 +109,6 @@ inline void write_cluster_report(bench::JsonWriter& j,
   j.field("n", cfg.n);
   j.field("seed", cfg.seed);
   j.field("loop_threads", cfg.loop_threads);
-  j.field("backend", [&]() -> std::string_view {
-    switch (cfg.backend) {
-      case Reactor::Backend::poll:
-        return "poll";
-      case Reactor::Backend::epoll:
-        return "epoll";
-      case Reactor::Backend::automatic:
-        break;
-    }
-    return Reactor::epoll_available() ? "epoll" : "poll";
-  }());
   j.field("all_correct_decided", result.all_correct_decided);
   j.field("agreement", result.agreement);
   j.field("timed_out", result.timed_out);
@@ -142,6 +136,9 @@ inline void write_cluster_report(bench::JsonWriter& j,
   j.field("reconnects", result.total_reconnects);
   j.field("retransmits", result.total_retransmits);
   j.field("spurious_retransmits", result.total_spurious_retransmits);
+  j.field("rewinds_reconnect", result.total_rewinds_reconnect);
+  j.field("rewinds_gap", result.total_rewinds_gap);
+  j.field("rewinds_drop_timer", result.total_rewinds_drop_timer);
   j.field("msgs_per_sec",
           static_cast<double>(result.total_delivered) / elapsed);
   j.field("decisions_per_sec", static_cast<double>(decided) / elapsed);

@@ -131,11 +131,12 @@ TEST(NetAllocation, RetransmitRewindIsAllocationFree) {
     ASSERT_TRUE(link.enqueue(small_payload(i), now, kNoBound, now));
   }
   const std::uint64_t before = g_allocations.load();
-  // Go-back-N: send the window, rewind as a timeout would, resend, ack.
+  // Go-back-N: send the window, rewind as the drop timer would, resend,
+  // ack.
   for (int round = 0; round < 50; ++round) {
     plan.build(link, now, /*include_frames=*/true, [] { return false; });
     (void)plan.commit(link, plan.total_bytes());
-    link.rewind_unsent();
+    link.rewind_unsent(Rewind::drop_timer);
   }
   plan.build(link, now, /*include_frames=*/true, [] { return false; });
   (void)plan.commit(link, plan.total_bytes());

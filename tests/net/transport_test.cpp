@@ -1,10 +1,15 @@
 // Transport reliability: PeerLink's reliable-stream bookkeeping, the
-// fault injector's determinism, and a live two-node socket exchange that
-// must deliver exactly once, in order, through injected disconnects and
-// drops.
+// receiver's spurious-retransmit classification, the fault injector's
+// determinism, and a live two-node socket exchange that must deliver
+// exactly once, in order, through injected disconnects and drops — and
+// must resend nothing when the receiver is merely slow.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/process.hpp"
@@ -64,11 +69,55 @@ TEST(PeerLink, RewindRetransmitsUnackedFrames) {
     link.advance_unsent();
   }
   link.on_ack(1);  // frames 2..4 still unacked
-  link.rewind_unsent();
+  link.rewind_unsent(Rewind::gap);
   EXPECT_EQ(link.counters.retransmits, 3u);
+  EXPECT_EQ(link.counters.rewinds_gap, 1u);
   EXPECT_FALSE(link.in_flight());
   EXPECT_TRUE(link.transmittable(Clock::now()));
   EXPECT_EQ(link.next_unsent().seq, 2u);
+  // A rewind with nothing in flight re-sends nothing and is not counted.
+  link.rewind_unsent(Rewind::reconnect);
+  EXPECT_EQ(link.counters.rewinds_reconnect, 0u);
+  EXPECT_EQ(link.counters.retransmits, 3u);
+}
+
+// The drop timer's arming state: set by a drop-injected commit, kept while
+// acks stay below the dropped frame, cleared by an ack past it or by any
+// rewind (which reschedules the dropped frame).
+TEST(PeerLink, OnlyDropInjectedFramesLeaveALossToRepair) {
+  PeerLink link;
+  link.init(1, {}, false);
+  const auto now = Clock::now();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(link.enqueue(two_bytes(i), now, kNoBound));
+  }
+  WritevPlan plan;
+  plan.build(link, now, /*include_frames=*/true, [] { return false; });
+  EXPECT_FALSE(plan.commit(link, plan.total_bytes()))
+      << "a clean send must not arm the drop timer";
+  EXPECT_FALSE(link.drop_unrepaired());
+
+  ASSERT_TRUE(link.enqueue(two_bytes(4), now, kNoBound));  // seq 5
+  ASSERT_TRUE(link.enqueue(two_bytes(5), now, kNoBound));  // seq 6
+  int draw = 0;
+  plan.build(link, now, /*include_frames=*/true,
+             [&draw] { return draw++ == 0; });  // drop seq 5, send seq 6
+  EXPECT_TRUE(plan.commit(link, plan.total_bytes()));
+  EXPECT_EQ(link.counters.drops_injected, 1u);
+  EXPECT_TRUE(link.drop_unrepaired());
+  link.on_ack(4);
+  EXPECT_TRUE(link.drop_unrepaired()) << "ack still short of the hole";
+  link.rewind_unsent(Rewind::drop_timer);
+  EXPECT_FALSE(link.drop_unrepaired()) << "the rewind resends seq 5";
+  EXPECT_EQ(link.counters.rewinds_drop_timer, 1u);
+
+  draw = 0;
+  plan.build(link, now, /*include_frames=*/true,
+             [&draw] { return draw++ == 1; });  // resend 5, drop 6 again
+  EXPECT_TRUE(plan.commit(link, plan.total_bytes()));
+  EXPECT_TRUE(link.drop_unrepaired());
+  link.on_ack(6);
+  EXPECT_FALSE(link.drop_unrepaired()) << "the peer has every frame";
 }
 
 TEST(PeerLink, BoundedQueueDropsNewestAtBound) {
@@ -108,6 +157,54 @@ TEST(PeerLink, DelayedFramesAreNotTransmittableEarly) {
   EXPECT_FALSE(link.transmittable(now));
   EXPECT_EQ(link.next_eligible_at(), later);
   EXPECT_TRUE(link.transmittable(later));
+}
+
+// ---- Receiver-side spurious-retransmit classification ------------------
+
+TEST(SpuriousRetransmits, DuplicateWithoutLossContextIsSpurious) {
+  PeerLink link;
+  link.init(1, {}, false);
+  EXPECT_EQ(link.classify_and_advance(1), 0);
+  EXPECT_EQ(link.classify_and_advance(2), 0);
+  // No gap was ever observed and no reconnect happened: the sender
+  // rewound frames this receiver already had.
+  EXPECT_EQ(link.classify_and_advance(1), -1);
+  EXPECT_EQ(link.counters.dup_frames, 1u);
+  EXPECT_EQ(link.counters.spurious_retransmits, 1u);
+}
+
+TEST(SpuriousRetransmits, DuplicatesDuringGapRecoveryAreNecessary) {
+  PeerLink link;
+  link.init(1, {}, false);
+  EXPECT_EQ(link.classify_and_advance(1), 0);
+  // Frame 2 was lost; 3 arrives ahead of stream.
+  EXPECT_EQ(link.classify_and_advance(3), 1);
+  // The rewind replays 1 before filling the gap — not spurious.
+  EXPECT_EQ(link.classify_and_advance(1), -1);
+  EXPECT_EQ(link.counters.spurious_retransmits, 0u);
+  // In-order delivery resumes and closes the loss episode.
+  EXPECT_EQ(link.classify_and_advance(2), 0);
+  EXPECT_EQ(link.classify_and_advance(3), 0);
+  // A later duplicate with no fresh gap is spurious again.
+  EXPECT_EQ(link.classify_and_advance(3), -1);
+  EXPECT_EQ(link.counters.spurious_retransmits, 1u);
+}
+
+TEST(SpuriousRetransmits, ReconnectRewindDuplicatesAreExpected) {
+  PeerLink link;
+  link.init(1, {}, false);
+  EXPECT_EQ(link.classify_and_advance(1), 0);
+  EXPECT_EQ(link.classify_and_advance(2), 0);
+  // After a reconnect the sender must rewind to its first unacked frame;
+  // replayed seqs are the protocol working as designed.
+  link.expect_rewind_dups();
+  EXPECT_EQ(link.classify_and_advance(1), -1);
+  EXPECT_EQ(link.classify_and_advance(2), -1);
+  EXPECT_EQ(link.counters.spurious_retransmits, 0u);
+  // The first in-order delivery ends the grace window.
+  EXPECT_EQ(link.classify_and_advance(3), 0);
+  EXPECT_EQ(link.classify_and_advance(3), -1);
+  EXPECT_EQ(link.counters.spurious_retransmits, 1u);
 }
 
 // ---- FaultInjector ------------------------------------------------------
@@ -232,6 +329,7 @@ TEST(Transport, StreamSurvivesInjectedDisconnects) {
   EXPECT_EQ(receiver.received, kStreamLen);
   EXPECT_EQ(receiver.violations, 0u);
   EXPECT_GE(result.total_reconnects, 1u);
+  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 TEST(Transport, StreamSurvivesDropInjection) {
@@ -240,7 +338,8 @@ TEST(Transport, StreamSurvivesDropInjection) {
   cfg.seed = 11;
   cfg.timeout_ms = 20000;
   // Recovery of a burst-with-holes proceeds one go-back-N round per lost
-  // prefix frame; a short RTO keeps the ~40 expected rounds fast.
+  // prefix frame; a dropped tail waits for the drop timer, and a short
+  // one keeps those rounds fast.
   cfg.limits.retransmit_timeout_ms = 10;
   cfg.link_faults.drop_probability = 0.2;
   Cluster cluster(cfg, stream_factory());
@@ -262,6 +361,69 @@ TEST(Transport, StreamSurvivesDropInjection) {
   }
   EXPECT_GT(drops, 0u);
   EXPECT_GE(retransmits, drops);
+  // Holes with frames behind them are found by no-progress acks, not by
+  // waiting out the timer.
+  EXPECT_GT(result.total_rewinds_gap, 0u);
+}
+
+/// Test-only decorator: forwards every callback to `inner`, but blocks the
+/// node's loop thread for kStall inside the first on_message — a receiver
+/// that is slow, never lossy.
+class StallingProcess final : public sim::Process {
+ public:
+  static constexpr std::chrono::milliseconds kStall{150};
+
+  explicit StallingProcess(std::unique_ptr<sim::Process> inner)
+      : inner_(std::move(inner)) {}
+
+  void on_start(sim::Context& ctx) override { inner_->on_start(ctx); }
+  void on_message(sim::Context& ctx, const sim::Envelope& env) override {
+    if (!stalled_) {
+      stalled_ = true;
+      std::this_thread::sleep_for(kStall);
+    }
+    inner_->on_message(ctx, env);
+  }
+  void on_null(sim::Context& ctx) override { inner_->on_null(ctx); }
+  [[nodiscard]] Phase phase() const noexcept override {
+    return inner_->phase();
+  }
+
+  [[nodiscard]] const sim::Process& inner() const { return *inner_; }
+
+ private:
+  std::unique_ptr<sim::Process> inner_;
+  bool stalled_ = false;
+};
+
+// The paper's channel may delay arbitrarily; delay is not loss. The sender
+// has the whole stream in flight while the receiver sits in on_message for
+// longer than the retransmit timeout, and must still resend nothing.
+TEST(Transport, SlowReceiverCausesNoRetransmits) {
+  ClusterConfig cfg;
+  cfg.n = 2;
+  cfg.seed = 5;
+  cfg.timeout_ms = 20000;
+  ASSERT_LT(cfg.limits.retransmit_timeout_ms,
+            static_cast<std::uint32_t>(StallingProcess::kStall.count()));
+  Cluster cluster(cfg, [](ProcessId id) -> std::unique_ptr<sim::Process> {
+    if (id == 0) {
+      return std::make_unique<StreamSender>();
+    }
+    return std::make_unique<StallingProcess>(
+        std::make_unique<StreamReceiver>());
+  });
+  const ClusterResult result = cluster.run();
+  ASSERT_TRUE(result.success()) << "timed_out=" << result.timed_out;
+
+  const auto& receiver = static_cast<const StreamReceiver&>(
+      static_cast<const StallingProcess&>(cluster.node(1).process())
+          .inner());
+  EXPECT_EQ(receiver.received, kStreamLen);
+  EXPECT_EQ(receiver.violations, 0u);
+  EXPECT_EQ(result.total_retransmits, 0u);
+  EXPECT_EQ(result.total_spurious_retransmits, 0u);
+  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 // ---- Partial writes under tiny socket buffers ---------------------------
@@ -344,6 +506,7 @@ TEST(Transport, FramesSurviveShortWritesAndReconnects) {
   EXPECT_EQ(receiver.received, kBigLen);
   EXPECT_EQ(receiver.violations, 0u);
   EXPECT_GE(result.total_reconnects, 1u);
+  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 TEST(Transport, DelayInjectionStillDeliversAll) {
@@ -360,6 +523,9 @@ TEST(Transport, DelayInjectionStillDeliversAll) {
       static_cast<const StreamReceiver&>(cluster.node(1).process());
   EXPECT_EQ(receiver.received, kStreamLen);
   EXPECT_EQ(receiver.violations, 0u);
+  // Held frames are late, not lost: nothing is resent.
+  EXPECT_EQ(result.total_retransmits, 0u);
+  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 }  // namespace

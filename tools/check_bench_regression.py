@@ -4,6 +4,7 @@
 Compares fresh benchmark JSON against the matching section of
 BENCH_BASELINE.json and fails when any tracked series drops below
 ``threshold`` (default 0.70, i.e. a >30% regression) of its baseline.
+The net sweep is also held to zero resent frames.
 
 Three input formats are understood:
 
@@ -26,7 +27,10 @@ Three input formats are understood:
   ``--sweep``; runs are matched by ``label`` (``fig1_n7_tpn``,
   ``fig1_n100_shared4`` etc.) and compared on ``msgs_per_sec``, against
   the ``net`` baseline section. A run that did not decide (``ok: false``)
-  fails outright.
+  fails outright, and so does a run that resent any frame
+  (``retransmits`` > 0, or the count missing): the sweep injects no
+  faults, and on a live TCP connection only an injected drop or a
+  reconnect can lose a frame.
 
 A baseline entry with no counterpart in the fresh output is an error —
 renaming or dropping a benchmark must be an explicit baseline edit, never
@@ -86,7 +90,8 @@ def svc_results(path, failures):
 
 
 def net_results(path, failures):
-    """Label -> msgs_per_sec for the net_cluster sweep; non-ok runs fail."""
+    """Label -> msgs_per_sec for the net_cluster sweep; non-ok runs and
+    runs that resent frames fail."""
     doc = load_json(path)
     if doc.get("schema") != "rcp-net-sweep-v1":
         raise SystemExit(f"{path}: expected schema rcp-net-sweep-v1")
@@ -99,6 +104,14 @@ def net_results(path, failures):
                 f"net_cluster: {run['label']}: run did not decide (ok=false)"
             )
             continue
+        retransmits = run.get("retransmits")
+        if retransmits is None:
+            failures.append(f"net_cluster: {run['label']}: no retransmits count")
+        elif retransmits > 0:
+            failures.append(
+                f"net_cluster: {run['label']}: {retransmits} retransmits "
+                f"in a fault-free sweep (must be 0)"
+            )
         out[run["label"]] = float(run["msgs_per_sec"])
     return out
 
@@ -208,7 +221,7 @@ def main():
         )
 
     if failures:
-        print(f"\n{len(failures)} throughput gate failure(s):", file=sys.stderr)
+        print(f"\n{len(failures)} gate failure(s):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
