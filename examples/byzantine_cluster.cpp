@@ -7,12 +7,10 @@
 // The correct replicas run Figure 2; the compromised ones run the chosen
 // attack. The example prints per-strategy outcomes and, for one run, the
 // tail of the execution trace so you can watch initial/echo quorums form.
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
 
 #include "adversary/scenario.hpp"
+#include "common/cli.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -20,13 +18,8 @@ namespace {
 using namespace rcp;
 using adversary::ByzantineKind;
 
-std::optional<ByzantineKind> parse_kind(const char* name) {
-  if (std::strcmp(name, "silent") == 0) return ByzantineKind::silent;
-  if (std::strcmp(name, "equivocator") == 0) return ByzantineKind::equivocator;
-  if (std::strcmp(name, "balancer") == 0) return ByzantineKind::balancer;
-  if (std::strcmp(name, "babbler") == 0) return ByzantineKind::babbler;
-  return std::nullopt;
-}
+constexpr const char* kUsage =
+    "[silent|equivocator|balancer|babbler [seed]]";
 
 void run_strategy(ByzantineKind kind, std::uint64_t seed, bool with_trace) {
   const std::uint32_t n = 10;
@@ -78,16 +71,13 @@ void run_strategy(ByzantineKind kind, std::uint64_t seed, bool with_trace) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  const auto seed = cli::positional<std::uint64_t>(argc, argv, 2, 7, kUsage);
   std::cout << "Feature-flag rollout: 10 replicas, Byzantine minority, "
                "6 correct replicas prefer ON (value 1)\n\n";
   if (argc > 1) {
-    const auto kind = parse_kind(argv[1]);
-    if (!kind.has_value()) {
-      std::cerr << "unknown strategy '" << argv[1]
-                << "' (want silent|equivocator|balancer|babbler)\n";
-      return 2;
+    const auto kind = adversary::parse_byzantine(argv[1]);
+    if (!kind.has_value() || *kind == ByzantineKind::scripted) {
+      cli::exit_usage(argv[0], kUsage, argv[1]);
     }
     run_strategy(*kind, seed, /*with_trace=*/true);
     return 0;

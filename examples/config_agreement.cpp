@@ -7,12 +7,12 @@
 // replicas). The multivalued layer — reliable proposal broadcast + one
 // Figure 2 binary instance per candidate slot — makes every correct
 // replica adopt the same bytes.
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "extensions/multivalued.hpp"
 #include "sim/simulation.hpp"
 
@@ -58,7 +58,7 @@ class TwoFacedReplica final : public sim::Process {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 9;
+  const auto seed = cli::positional<std::uint64_t>(argc, argv, 1, 9, "[seed]");
   const std::uint32_t n = 7;
   const core::ConsensusParams params{n, 2};
 

@@ -7,21 +7,19 @@
 // boundaries — the moment the paper's proofs treat most carefully, since a
 // node then dies right after sending its phase broadcast to an arbitrary
 // subset of the cluster.
-#include <cstdlib>
 #include <iostream>
 
 #include "adversary/crash_plan.hpp"
 #include "adversary/scenario.hpp"
+#include "common/cli.hpp"
 #include "sim/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcp;
 
-  const std::uint32_t crashes =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 4;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 11;
+  const char* usage = "[crashes [seed]]";
+  const auto crashes = cli::positional<std::uint32_t>(argc, argv, 1, 4, usage);
+  const auto seed = cli::positional<std::uint64_t>(argc, argv, 2, 11, usage);
   const std::uint32_t n = 9;
   const std::uint32_t k = core::max_resilience(core::FaultModel::fail_stop, n);
   if (crashes > k) {

@@ -20,22 +20,6 @@
 //
 //   $ ./kv_loadgen --mode sim --ops 100000 --json svc.json
 //   $ ./kv_loadgen --mode net --n 7 --ops 100000 --batching both
-//
-// Options:
-//   --mode sim|net          (default sim)
-//   --n N --k K             (default n=7, k=(n-1)/3)
-//   --shards S              shards per replica (default 4)
-//   --ops OPS               total client writes per run (default 100000)
-//   --window W              per-shard origination window (default 64)
-//   --batching on|off|both  (default both)
-//   --groups G              sim mode: independent groups (default 4)
-//   --threads T             sim mode: TrialPool size (default: cores)
-//   --seed S                (default 1)
-//   --timeout-ms T          net mode: per-run wall limit (default 120000)
-//   --loop-threads T        net mode: T shared event-loop threads instead
-//                           of one thread per replica (labels gain
-//                           a _sharedT suffix)
-//   --json PATH             write the rcp-svc-v1 report
 #include <algorithm>
 #include <chrono>
 #include <deque>
@@ -49,6 +33,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -99,88 +84,23 @@ struct RunReport {
   bool ok = false;
 };
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--mode sim|net] [--n N] [--k K] [--shards S] [--ops OPS]\n"
-               "       [--window W] [--batching on|off|both] [--groups G]\n"
-               "       [--threads T] [--seed S] [--timeout-ms T]\n"
-               "       [--loop-threads T] [--json PATH]\n";
-  return 2;
-}
-
-std::optional<Options> parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    try {
-      if (flag == "--mode") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.mode = v;
-        if (opt.mode != "sim" && opt.mode != "net") return std::nullopt;
-      } else if (flag == "--n") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.n = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--k") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.k = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--shards") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.shards = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--ops") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.ops = std::stoull(v);
-      } else if (flag == "--window") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.window = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--batching") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.batching = v;
-        if (opt.batching != "on" && opt.batching != "off" &&
-            opt.batching != "both") {
-          return std::nullopt;
-        }
-      } else if (flag == "--groups") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.groups = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--threads") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--seed") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.seed = std::stoull(v);
-      } else if (flag == "--timeout-ms") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.timeout_ms = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--loop-threads") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--json") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.json_path = v;
-      } else {
-        return std::nullopt;
-      }
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  return opt;
+cli::Parser flags(Options& opt) {
+  cli::Parser p;
+  p.choice("--mode", opt.mode, {"sim", "net"}, "(default sim)")
+      .value("--n", "N", opt.n, "replicas (default 7)")
+      .value("--k", "K", opt.k, "resilience (default (n-1)/3)")
+      .value("--shards", "S", opt.shards, ">= 1 per replica (default 4)", 1)
+      .value("--ops", "OPS", opt.ops, "client writes per run (default 100000)")
+      .value("--window", "W", opt.window, "per-shard window (default 64)")
+      .choice("--batching", opt.batching, {"on", "off", "both"},
+              "(default both)")
+      .value("--groups", "G", opt.groups, "sim: groups, >= 1 (default 4)", 1)
+      .value("--threads", "T", opt.threads, "sim: TrialPool size")
+      .value("--seed", "S", opt.seed, "(default 1)")
+      .value("--timeout-ms", "T", opt.timeout_ms, "net: per-run wall limit")
+      .value("--loop-threads", "T", opt.loop_threads, "net: shared loops")
+      .value("--json", "PATH", opt.json_path, "rcp-svc-v1 report");
+  return p;
 }
 
 // ---- sim mode -----------------------------------------------------------
@@ -466,11 +386,10 @@ int write_json(const Options& opt, const std::vector<RunReport>& runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
-    return usage(argv[0]);
+  Options opt;
+  if (!flags(opt).parse(argc, argv)) {
+    return 2;
   }
-  const Options& opt = *parsed;
 
   try {
     std::vector<RunReport> runs;

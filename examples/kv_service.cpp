@@ -8,19 +8,11 @@
 //
 //   $ ./kv_service
 //   $ ./kv_service --n 7 --shards 4 --ops 5000 --adversary babbler
-//
-// Options:
-//   --n N --k K           (default n=7, k=(n-1)/3)
-//   --shards S            shards per replica (default 2)
-//   --ops OPS             total client writes (default 2000)
-//   --adversary none|equivocator|babbler|lane_jammer   (default equivocator)
-//   --byz B               byzantine seats (default 1, 0 with none)
-//   --no-batching         disable cross-instance frame batching
-//   --seed S              (default 1)
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "service/sim_service.hpp"
 
@@ -39,75 +31,28 @@ struct Options {
   std::uint64_t seed = 1;
 };
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--n N] [--k K] [--shards S] [--ops OPS]\n"
-               "       [--adversary none|equivocator|babbler|lane_jammer]\n"
-               "       [--byz B]\n"
-               "       [--no-batching] [--seed S]\n";
-  return 2;
-}
-
-std::optional<Options> parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    try {
-      if (flag == "--n") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.n = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--k") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.k = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--shards") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.shards = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--ops") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.ops = std::stoull(v);
-      } else if (flag == "--adversary") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.adversary = v;
-        if (opt.adversary != "none" && opt.adversary != "equivocator" &&
-            opt.adversary != "babbler" && opt.adversary != "lane_jammer") {
-          return std::nullopt;
-        }
-      } else if (flag == "--byz") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.byz = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--no-batching") {
-        opt.batching = false;
-      } else if (flag == "--seed") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.seed = std::stoull(v);
-      } else {
-        return std::nullopt;
-      }
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  return opt;
+cli::Parser flags(Options& opt) {
+  cli::Parser p;
+  p.value("--n", "N", opt.n, "replicas (default 7)")
+      .value("--k", "K", opt.k, "resilience (default (n-1)/3)")
+      .value("--shards", "S", opt.shards, ">= 1 per replica (default 2)", 1)
+      .value("--ops", "OPS", opt.ops, "total client writes (default 2000)")
+      .choice("--adversary", opt.adversary,
+              {"none", "equivocator", "babbler", "lane_jammer"},
+              "(default equivocator)")
+      .value("--byz", "B", opt.byz, "Byzantine seats (default 1, 0 with none)")
+      .set("--no-batching", opt.batching, false, "one frame per message")
+      .value("--seed", "S", opt.seed, "(default 1)");
+  return p;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
-    return usage(argv[0]);
+  Options opt;
+  if (!flags(opt).parse(argc, argv)) {
+    return 2;
   }
-  const Options& opt = *parsed;
 
   service::SimServiceConfig cfg;
   cfg.params = core::ConsensusParams{opt.n, opt.k.value_or((opt.n - 1) / 3)};

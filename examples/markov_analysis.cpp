@@ -6,21 +6,19 @@
 // expected phases from every starting state, the collapsed bound, and the
 // Section 4.2 malicious-chain numbers for matching parameters.
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "analysis/collapsed_chain.hpp"
 #include "analysis/failstop_chain.hpp"
 #include "analysis/malicious_chain.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcp;
   using analysis::CollapsedChain;
 
-  unsigned n = argc > 1
-                   ? static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10))
-                   : 60;
+  const auto n = cli::positional<unsigned>(argc, argv, 1, 60, "[n]");
   if (n < 6 || n % 6 != 0) {
     std::cerr << "n must be >= 6 and divisible by 6 (got " << n << ")\n";
     return 2;

@@ -12,32 +12,11 @@
 //         --disconnect 0:1@5 --drop 0.02 --json run.json
 //   $ ./net_cluster --protocol fig2 --n 7 --fork --base-port 19400
 //   (each invocation on one line)
-//
-// Options:
-//   --protocol fig1|fig2|benor|bracha87   (default fig2)
-//   --n N --k K             (default n=7, k = protocol's maximum)
-//   --ones M                initial 1-inputs (default n/2)
-//   --adversary none|silent|equivocator|balancer|babbler  (default none)
-//   --byz B                 byzantine node count (default k if adversary set)
-//   --crash ID@PHASE        fail-stop ID when its phase reaches PHASE
-//   --disconnect A:B@D      node A force-closes its link to B after A has
-//                           delivered D messages (reconnect heals it)
-//   --drop P                drop-injection probability per transmission
-//   --delay MIN:MAX         uniform per-frame delay in milliseconds
-//   --seed S                (default 1)
-//   --timeout-ms T          give up after T ms (default 30000)
-//   --loop-threads T        drive all n nodes from T shared event-loop
-//                           threads (default 0 = one thread per node)
-//   --json PATH             write the rcp-net-v1 report
-//   --sweep N1,N2,...       benchmark sweep: run the protocol at each n,
-//                           thread-per-node and shared-loop side by side,
-//                           and write an rcp-net-sweep-v1 report to --json
-//   --fork --base-port P    one OS process per node on ports P..P+n-1
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -46,12 +25,10 @@
 #include <thread>
 #include <vector>
 
-#include "adversary/byzantine.hpp"
 #include "adversary/scenario.hpp"
 #include "baselines/benor.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/failstop.hpp"
-#include "core/malicious.hpp"
 #include "core/params.hpp"
 #include "extensions/bracha87.hpp"
 #include "net/cluster.hpp"
@@ -66,7 +43,7 @@ struct Options {
   std::uint32_t n = 7;
   std::optional<std::uint32_t> k;
   std::optional<std::uint32_t> ones;
-  std::string adversary = "none";
+  std::optional<adversary::ByzantineKind> adversary;
   std::optional<std::uint32_t> byz_count;
   std::vector<std::pair<ProcessId, Phase>> crashes;
   std::vector<std::pair<ProcessId, net::DisconnectEvent>> disconnects;
@@ -82,177 +59,93 @@ struct Options {
   std::vector<std::uint32_t> sweep_ns;
 };
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--protocol fig1|fig2|benor|bracha87] [--n N] [--k K] [--ones M]\n"
-         "       [--adversary none|silent|equivocator|balancer|babbler]"
-         " [--byz B]\n"
-         "       [--crash ID@PHASE]... [--disconnect A:B@D]...\n"
-         "       [--drop P] [--delay MIN:MAX] [--seed S] [--timeout-ms T]\n"
-         "       [--loop-threads T] [--json PATH] [--sweep N1,N2,...]\n"
-         "       [--fork --base-port P]\n";
-  return 2;
+cli::Parser flags(Options& opt) {
+  cli::Parser p;
+  p.choice("--protocol", opt.protocol, {"fig1", "fig2", "benor", "bracha87"},
+           "(default fig2)")
+      .value("--n", "N", opt.n, "nodes (default 7)")
+      .value("--k", "K", opt.k, "resilience (default: the protocol's max)")
+      .value("--ones", "M", opt.ones, "initial 1-inputs (default n/2)")
+      .choice("--adversary", opt.adversary, adversary::kZooNames,
+              "(default none)")
+      .value("--byz", "B", opt.byz_count, "Byzantine nodes (default k)")
+      .custom("--crash", "ID@PHASE", "fail-stop ID entering PHASE",
+              [&opt](std::string_view v) {
+                ProcessId id = 0;
+                Phase phase = 0;
+                const bool ok = cli::parse_pair(v, '@', id, phase);
+                if (ok) {
+                  opt.crashes.emplace_back(id, phase);
+                }
+                return ok;
+              })
+      .custom("--disconnect", "A:B@D",
+              "A closes its link to B after delivering D messages",
+              [&opt](std::string_view v) {
+                const auto colon = v.find(':');
+                const auto node =
+                    cli::parse_number<ProcessId>(v.substr(0, colon));
+                net::DisconnectEvent e;
+                const bool ok =
+                    node && colon != std::string_view::npos &&
+                    cli::parse_pair(v.substr(colon + 1), '@', e.peer,
+                                    e.after_delivered);
+                if (ok) {
+                  opt.disconnects.emplace_back(*node, e);
+                }
+                return ok;
+              })
+      .value("--drop", "P", opt.drop, "drop probability per transmission")
+      .custom("--delay", "MIN:MAX", "uniform per-frame delay in ms",
+              [&opt](std::string_view v) {
+                return cli::parse_pair(v, ':', opt.delay_min, opt.delay_max);
+              })
+      .value("--seed", "S", opt.seed, "(default 1)")
+      .value("--timeout-ms", "T", opt.timeout_ms, "(default 30000)")
+      .value("--loop-threads", "T", opt.loop_threads,
+             "shared event-loop threads (default 0: one per node)")
+      .value("--json", "PATH", opt.json_path, "rcp-net-v1 report")
+      .custom("--sweep", "N1,N2,...",
+              "run at each n, both threading models; rcp-net-sweep-v1 JSON",
+              [&opt](std::string_view v) {
+                for (std::size_t pos = 0; pos < v.size();) {
+                  const auto end = std::min(v.find(',', pos), v.size());
+                  const auto n = cli::parse_number<std::uint32_t>(
+                      v.substr(pos, end - pos));
+                  if (!n) {
+                    return false;
+                  }
+                  opt.sweep_ns.push_back(*n);
+                  pos = end + 1;
+                }
+                return !opt.sweep_ns.empty();
+              })
+      .set("--fork", opt.fork_mode, true, "one OS process per node")
+      .value("--base-port", "P", opt.base_port, "--fork: ports P..P+n-1");
+  return p;
 }
 
-/// Parses "A@B" into two integers; false on malformed input.
-bool parse_at(const std::string& s, std::uint64_t& a, std::uint64_t& b) {
-  const auto at = s.find('@');
-  if (at == std::string::npos || at == 0 || at + 1 >= s.size()) {
-    return false;
-  }
-  try {
-    a = std::stoull(s.substr(0, at));
-    b = std::stoull(s.substr(at + 1));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-std::optional<Options> parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    try {
-      if (flag == "--protocol") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.protocol = v;
-        if (opt.protocol != "fig1" && opt.protocol != "fig2" &&
-            opt.protocol != "benor" && opt.protocol != "bracha87") {
-          return std::nullopt;
-        }
-      } else if (flag == "--n") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.n = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--k") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.k = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--ones") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.ones = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--adversary") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.adversary = v;
-        if (opt.adversary != "none" && opt.adversary != "silent" &&
-            opt.adversary != "equivocator" && opt.adversary != "balancer" &&
-            opt.adversary != "babbler") {
-          return std::nullopt;
-        }
-      } else if (flag == "--byz") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.byz_count = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--crash") {
-        const char* v = next();
-        std::uint64_t id = 0;
-        std::uint64_t phase = 0;
-        if (v == nullptr || !parse_at(v, id, phase)) return std::nullopt;
-        opt.crashes.emplace_back(static_cast<ProcessId>(id), phase);
-      } else if (flag == "--disconnect") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        const auto colon = s.find(':');
-        if (colon == std::string::npos) return std::nullopt;
-        std::uint64_t peer = 0;
-        std::uint64_t after = 0;
-        if (!parse_at(s.substr(colon + 1), peer, after)) return std::nullopt;
-        const auto node = static_cast<ProcessId>(
-            std::stoul(s.substr(0, colon)));
-        opt.disconnects.emplace_back(
-            node, net::DisconnectEvent{static_cast<ProcessId>(peer), after});
-      } else if (flag == "--drop") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.drop = std::stod(v);
-      } else if (flag == "--delay") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        const std::string s = v;
-        const auto colon = s.find(':');
-        if (colon == std::string::npos) return std::nullopt;
-        opt.delay_min =
-            static_cast<std::uint32_t>(std::stoul(s.substr(0, colon)));
-        opt.delay_max =
-            static_cast<std::uint32_t>(std::stoul(s.substr(colon + 1)));
-      } else if (flag == "--seed") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.seed = std::stoull(v);
-      } else if (flag == "--timeout-ms") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.timeout_ms = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--json") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.json_path = v;
-      } else if (flag == "--loop-threads") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.loop_threads = static_cast<std::uint32_t>(std::stoul(v));
-      } else if (flag == "--sweep") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        std::string s = v;
-        for (std::size_t pos = 0; pos < s.size();) {
-          const auto comma = s.find(',', pos);
-          const auto end = comma == std::string::npos ? s.size() : comma;
-          opt.sweep_ns.push_back(
-              static_cast<std::uint32_t>(std::stoul(s.substr(pos, end - pos))));
-          pos = end + 1;
-        }
-        if (opt.sweep_ns.empty()) return std::nullopt;
-      } else if (flag == "--fork") {
-        opt.fork_mode = true;
-      } else if (flag == "--base-port") {
-        const char* v = next();
-        if (v == nullptr) return std::nullopt;
-        opt.base_port = static_cast<std::uint16_t>(std::stoul(v));
-      } else {
-        return std::nullopt;
-      }
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  if (opt.fork_mode && opt.base_port == 0) {
-    std::cerr << "--fork needs --base-port (forked nodes cannot exchange "
-                 "ephemeral ports)\n";
-    return std::nullopt;
-  }
-  return opt;
-}
-
-/// The resolved run plan shared by the thread and fork modes.
-struct Plan {
-  std::uint32_t k = 0;
-  std::vector<Value> inputs;
-  std::vector<ProcessId> byzantine_ids;
-};
+/// The resolved run shared by the thread and fork modes. benor and
+/// bracha87 take its params, inputs and Byzantine cast; its protocol field
+/// only matters for fig1/fig2.
+using Plan = adversary::Scenario;
 
 Plan resolve_plan(const Options& opt) {
   Plan plan;
+  plan.protocol = opt.protocol == "fig1" ? adversary::ProtocolKind::fail_stop
+                                         : adversary::ProtocolKind::malicious;
   const core::FaultModel model =
       (opt.protocol == "fig1" ||
-       (opt.protocol == "benor" && opt.adversary == "none"))
+       (opt.protocol == "benor" && !opt.adversary.has_value()))
           ? core::FaultModel::fail_stop
           : core::FaultModel::malicious;
-  plan.k = opt.k.value_or(core::max_resilience(model, opt.n));
+  plan.params = {opt.n, opt.k.value_or(core::max_resilience(model, opt.n))};
   plan.inputs =
       adversary::inputs_with_ones(opt.n, opt.ones.value_or(opt.n / 2));
-  if (opt.adversary != "none") {
+  if (opt.adversary.has_value()) {
+    plan.byzantine_kind = *opt.adversary;
     const std::uint32_t count =
-        std::min(opt.byz_count.value_or(plan.k), opt.n);
+        std::min(opt.byz_count.value_or(plan.params.k), opt.n);
     for (std::uint32_t b = 0; b < count; ++b) {
       plan.byzantine_ids.push_back(
           static_cast<ProcessId>(count > 0 ? b * opt.n / count : b));
@@ -263,35 +156,20 @@ Plan resolve_plan(const Options& opt) {
 
 std::unique_ptr<sim::Process> make_process(const Options& opt,
                                            const Plan& plan, ProcessId id) {
-  const core::ConsensusParams params{opt.n, plan.k};
-  for (const ProcessId b : plan.byzantine_ids) {
-    if (b == id) {
-      if (opt.adversary == "silent") {
-        return std::make_unique<adversary::SilentByzantine>();
-      }
-      if (opt.adversary == "equivocator") {
-        return std::make_unique<adversary::EquivocatorByzantine>(params);
-      }
-      if (opt.adversary == "balancer") {
-        return std::make_unique<adversary::BalancerByzantine>(params);
-      }
-      return std::make_unique<adversary::BabblerByzantine>(params);
-    }
+  const bool byzantine =
+      std::find(plan.byzantine_ids.begin(), plan.byzantine_ids.end(), id) !=
+      plan.byzantine_ids.end();
+  if (!byzantine && opt.protocol == "benor") {
+    const auto variant = opt.adversary.has_value()
+                             ? baselines::BenOrVariant::byzantine
+                             : baselines::BenOrVariant::crash;
+    return baselines::BenOrConsensus::make(plan.params, variant,
+                                           plan.inputs[id]);
   }
-  const Value init = plan.inputs[id];
-  if (opt.protocol == "fig1") {
-    return core::FailStopConsensus::make(params, init);
+  if (!byzantine && opt.protocol == "bracha87") {
+    return ext::Bracha87::make(plan.params, plan.inputs[id]);
   }
-  if (opt.protocol == "benor") {
-    const auto variant = opt.adversary == "none"
-                             ? baselines::BenOrVariant::crash
-                             : baselines::BenOrVariant::byzantine;
-    return baselines::BenOrConsensus::make(params, variant, init);
-  }
-  if (opt.protocol == "bracha87") {
-    return ext::Bracha87::make(params, init);
-  }
-  return core::MaliciousConsensus::make(params, init);
+  return adversary::make_process(plan, id);
 }
 
 net::ClusterConfig cluster_config(const Options& opt, const Plan& plan) {
@@ -322,7 +200,7 @@ int report_thread_mode(const Options& opt, const Plan& plan,
                        const net::ClusterConfig& cfg,
                        const net::ClusterResult& result) {
   std::cout << "protocol : " << opt.protocol << "  n=" << opt.n
-            << " k=" << plan.k << " seed=" << opt.seed
+            << " k=" << plan.params.k << " seed=" << opt.seed
             << " transport=tcp-loopback";
   if (opt.loop_threads > 0) {
     std::cout << " loop-threads=" << opt.loop_threads;
@@ -658,11 +536,17 @@ int run_fork_mode(const Options& opt, const Plan& plan) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
-    return usage(argv[0]);
+  Options opt;
+  const cli::Parser parser = flags(opt);
+  if (!parser.parse(argc, argv)) {
+    return 2;
   }
-  const Options& opt = *parsed;
+  if (opt.fork_mode && opt.base_port == 0) {
+    std::cerr << "error: --fork needs --base-port (forked nodes cannot "
+                 "exchange ephemeral ports)\n";
+    parser.print_usage(std::cerr, argv[0]);
+    return 2;
+  }
   try {
     const Plan plan = resolve_plan(opt);
     if (!opt.sweep_ns.empty()) {

@@ -5,18 +5,18 @@
 // Builds the paper's malicious-case protocol (Figure 2) at full resilience
 // k = floor((n-1)/3) = 2, runs it on the probabilistic asynchronous message
 // system, and prints every process's decision.
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/malicious.hpp"
 #include "sim/simulation.hpp"
 
 int main(int argc, char** argv) {
   using namespace rcp;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const auto seed = cli::positional<std::uint64_t>(argc, argv, 1, 42, "[seed]");
   const std::uint32_t n = 7;
   const core::ConsensusParams params{n, 2};
 

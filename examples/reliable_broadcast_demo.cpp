@@ -6,11 +6,11 @@
 // half the system "0" and the other half "1". The echo/ready quorums
 // guarantee that correct processes never deliver different values; with a
 // correct sender, everyone delivers its value.
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/reliable_broadcast.hpp"
 #include "sim/simulation.hpp"
 
@@ -75,8 +75,7 @@ void run(bool sender_is_byzantine, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t base =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
+  const auto base = cli::positional<std::uint64_t>(argc, argv, 1, 1, "[seed]");
   std::cout << "Reliable broadcast (n = 7, k = 2), sender = process 0\n\n";
   run(/*sender_is_byzantine=*/false, base);
   for (std::uint64_t seed = base; seed < base + 5; ++seed) {

@@ -8,35 +8,10 @@
 //         --adversary equivocator --replay run.sched
 //   (both invocations on one line)
 //
-// Options:
-//   --protocol fig1|fig2|majority   (default fig2)
-//   --n N --k K                     (default n=7, k = max for the protocol)
-//   --ones M                        initial 1-inputs (default n/2)
-//   --adversary none|silent|equivocator|balancer|babbler  (default none)
-//   --crashes C                     staggered fail-stop crashes (default 0)
-//   --seed S                        (default 1)
-//   --max-steps X                   (default 2'000'000)
-//   --record FILE | --replay FILE   capture / re-drive the schedule
-//   --runs R                        Monte-Carlo series of R trials
-//                                   (default 1: single run shown in full)
-//   --threads N                     worker threads for --runs > 1
-//                                   (default: hardware concurrency)
-//   --progress                      live completed/total + ETA (needs
-//                                   --runs > 1)
-//   --json FILE                     rcp-bench-v1 report (same schema as the
-//                                   bench_e* harnesses; see docs/PERF.md)
-//   --list-scenarios                enumerate the built-in digest-pinned
-//                                   scenarios and the golden files under
-//                                   --data-dir (default: the checked-in
-//                                   tests/data), then exit
-//   --data-dir DIR                  where --list-scenarios looks for
-//                                   *.plan / *.schedule goldens
-//
 // The RCP_BENCH_RUNS environment variable overrides the trial count like
 // it does for the bench harnesses (the perf-smoke ctest label sets it
 // to 2), except when --record/--replay pin a single execution.
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -47,6 +22,7 @@
 #include "adversary/crash_plan.hpp"
 #include "adversary/scenario.hpp"
 #include "bench_util.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "fuzz/plan.hpp"
 #include "runtime/progress.hpp"
@@ -77,109 +53,27 @@ struct Options {
   std::string data_dir = RCP_GOLDEN_DATA_DIR;
 };
 
-int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--protocol fig1|fig2|majority] [--n N] [--k K] [--ones M]\n"
-               "       [--adversary none|silent|equivocator|balancer|babbler]\n"
-               "       [--crashes C] [--seed S] [--max-steps X]\n"
-               "       [--record FILE | --replay FILE]\n"
-               "       [--runs R] [--threads N] [--progress] [--json FILE]\n"
-               "       [--list-scenarios] [--data-dir DIR]\n";
-  return 2;
-}
-
-std::optional<Options> parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    if (flag == "--protocol") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      if (std::strcmp(v, "fig1") == 0) {
-        opt.protocol = adversary::ProtocolKind::fail_stop;
-      } else if (std::strcmp(v, "fig2") == 0) {
-        opt.protocol = adversary::ProtocolKind::malicious;
-      } else if (std::strcmp(v, "majority") == 0) {
-        opt.protocol = adversary::ProtocolKind::majority;
-      } else {
-        return std::nullopt;
-      }
-    } else if (flag == "--n") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.n = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--k") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.k = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--ones") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.ones = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--adversary") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      if (std::strcmp(v, "none") == 0) {
-        opt.byzantine.reset();
-      } else if (std::strcmp(v, "silent") == 0) {
-        opt.byzantine = adversary::ByzantineKind::silent;
-      } else if (std::strcmp(v, "equivocator") == 0) {
-        opt.byzantine = adversary::ByzantineKind::equivocator;
-      } else if (std::strcmp(v, "balancer") == 0) {
-        opt.byzantine = adversary::ByzantineKind::balancer;
-      } else if (std::strcmp(v, "babbler") == 0) {
-        opt.byzantine = adversary::ByzantineKind::babbler;
-      } else {
-        return std::nullopt;
-      }
-    } else if (flag == "--crashes") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.crashes = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.seed = std::stoull(v);
-    } else if (flag == "--max-steps") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.max_steps = std::stoull(v);
-    } else if (flag == "--record") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.record_path = v;
-    } else if (flag == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.replay_path = v;
-    } else if (flag == "--runs") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.runs = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.threads = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (flag == "--progress") {
-      opt.progress = true;
-    } else if (flag == "--list-scenarios") {
-      opt.list_scenarios = true;
-    } else if (flag == "--data-dir") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.data_dir = v;
-    } else if (flag == "--json") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.json_path = v;
-    } else {
-      return std::nullopt;
-    }
-  }
-  return opt;
+cli::Parser flags(Options& opt) {
+  cli::Parser p;
+  p.choice("--protocol", opt.protocol, adversary::kProtocolNames,
+           "(default fig2)")
+      .value("--n", "N", opt.n, "processes (default 7)")
+      .value("--k", "K", opt.k, "resilience (default: the protocol's max)")
+      .value("--ones", "M", opt.ones, "initial 1-inputs (default n/2)")
+      .choice("--adversary", opt.byzantine, adversary::kZooNames,
+              "strategy of k Byzantine slots (default none)")
+      .value("--crashes", "C", opt.crashes, "staggered fail-stop crashes")
+      .value("--seed", "S", opt.seed, "(default 1)")
+      .value("--max-steps", "X", opt.max_steps, "(default 2000000)")
+      .value("--record", "FILE", opt.record_path, "capture the schedule")
+      .value("--replay", "FILE", opt.replay_path, "re-drive a schedule")
+      .value("--runs", "R", opt.runs, "Monte-Carlo series of R trials")
+      .value("--threads", "N", opt.threads, "workers for --runs > 1")
+      .set("--progress", opt.progress, true, "live progress for --runs > 1")
+      .value("--json", "FILE", opt.json_path, "rcp-bench-v1 report")
+      .set("--list-scenarios", opt.list_scenarios, true, "list, then exit")
+      .value("--data-dir", "DIR", opt.data_dir, "where --list-scenarios looks");
+  return p;
 }
 
 /// The --runs > 1 path: a Monte-Carlo series sharded across the trial
@@ -280,7 +174,7 @@ int list_scenarios(const std::string& data_dir) {
       plan.validate();
       table.row()
           .cell(path.filename().string())
-          .cell(fuzz::protocol_token(plan.spec.protocol))
+          .cell(adversary::token(plan.spec.protocol))
           .cell(std::to_string(plan.spec.params.n))
           .cell(std::to_string(plan.spec.params.k))
           .cell(std::to_string(plan.spec.byzantine_ids.size()))
@@ -315,14 +209,9 @@ int list_scenarios(const std::string& data_dir) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
-    return usage(argv[0]);
-  }
-  Options opt = *parsed;
+/// Everything after flag parsing; a scenario the protocol layer rejects
+/// throws out of here to main().
+int run(Options& opt, int argc, char** argv) {
   if (opt.list_scenarios) {
     return list_scenarios(opt.data_dir);
   }
@@ -428,4 +317,19 @@ int main(int argc, char** argv) {
     return status;
   }
   return simulation->agreement_holds() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (!flags(opt).parse(argc, argv)) {
+    return 2;
+  }
+  try {
+    return run(opt, argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -10,32 +10,58 @@
 
 namespace rcp::adversary {
 
-const char* to_string(ProtocolKind kind) noexcept {
-  switch (kind) {
-    case ProtocolKind::fail_stop:
-      return "fail-stop (Fig 1)";
-    case ProtocolKind::malicious:
-      return "malicious (Fig 2)";
-    case ProtocolKind::majority:
-      return "majority variant (S4.1)";
+namespace {
+
+template <class Kind, std::size_t N>
+const KindName<Kind>* find(const std::array<KindName<Kind>, N>& names,
+                           Kind kind) noexcept {
+  for (const KindName<Kind>& e : names) {
+    if (e.kind == kind) {
+      return &e;
+    }
   }
-  return "?";
+  return nullptr;
+}
+
+template <class Kind, std::size_t N>
+std::optional<Kind> find(const std::array<KindName<Kind>, N>& names,
+                         std::string_view token) noexcept {
+  for (const KindName<Kind>& e : names) {
+    if (token == e.token) {
+      return e.kind;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+const char* to_string(ProtocolKind kind) noexcept {
+  const auto* e = find(kProtocolNames, kind);
+  return e != nullptr ? e->display : "?";
+}
+
+const char* token(ProtocolKind kind) noexcept {
+  const auto* e = find(kProtocolNames, kind);
+  return e != nullptr ? e->token : "?";
+}
+
+std::optional<ProtocolKind> parse_protocol(std::string_view token) noexcept {
+  return find(kProtocolNames, token);
 }
 
 const char* to_string(ByzantineKind kind) noexcept {
-  switch (kind) {
-    case ByzantineKind::silent:
-      return "silent";
-    case ByzantineKind::equivocator:
-      return "equivocator";
-    case ByzantineKind::balancer:
-      return "balancer";
-    case ByzantineKind::babbler:
-      return "babbler";
-    case ByzantineKind::scripted:
-      return "scripted";
-  }
-  return "?";
+  const auto* e = find(kByzantineNames, kind);
+  return e != nullptr ? e->display : "?";
+}
+
+const char* token(ByzantineKind kind) noexcept {
+  const auto* e = find(kByzantineNames, kind);
+  return e != nullptr ? e->token : "?";
+}
+
+std::optional<ByzantineKind> parse_byzantine(std::string_view token) noexcept {
+  return find(kByzantineNames, token);
 }
 
 std::unique_ptr<sim::Process> make_byzantine(
@@ -56,9 +82,13 @@ std::unique_ptr<sim::Process> make_byzantine(
   RCP_INVARIANT(false, "unknown byzantine kind");
 }
 
-namespace {
-
-std::unique_ptr<sim::Process> make_protocol(const Scenario& s, Value input) {
+std::unique_ptr<sim::Process> make_process(const Scenario& s, ProcessId id) {
+  if (std::find(s.byzantine_ids.begin(), s.byzantine_ids.end(), id) !=
+      s.byzantine_ids.end()) {
+    return make_byzantine(s.byzantine_kind, s.params, s.scripted_moves);
+  }
+  RCP_EXPECT(id < s.inputs.size(), "need one input per process");
+  const Value input = s.inputs[id];
   switch (s.protocol) {
     case ProtocolKind::fail_stop:
       return s.unchecked
@@ -76,8 +106,6 @@ std::unique_ptr<sim::Process> make_protocol(const Scenario& s, Value input) {
   RCP_INVARIANT(false, "unknown protocol kind");
 }
 
-}  // namespace
-
 std::unique_ptr<sim::Simulation> build(
     const Scenario& scenario, std::unique_ptr<sim::DeliveryPolicy> delivery,
     std::unique_ptr<sim::SchedulerPolicy> scheduler) {
@@ -87,30 +115,18 @@ std::unique_ptr<sim::Simulation> build(
     RCP_EXPECT(b < n, "byzantine id outside [0, n)");
   }
 
-  std::vector<bool> is_byz(n, false);
-  for (const ProcessId b : scenario.byzantine_ids) {
-    is_byz[b] = true;
-  }
-
   std::vector<std::unique_ptr<sim::Process>> procs;
   procs.reserve(n);
   for (ProcessId p = 0; p < n; ++p) {
-    if (is_byz[p]) {
-      procs.push_back(make_byzantine(scenario.byzantine_kind, scenario.params,
-                                     scenario.scripted_moves));
-    } else {
-      procs.push_back(make_protocol(scenario, scenario.inputs[p]));
-    }
+    procs.push_back(make_process(scenario, p));
   }
 
   auto simulation = std::make_unique<sim::Simulation>(
       sim::SimConfig{
           .n = n, .seed = scenario.seed, .max_steps = scenario.max_steps},
       std::move(procs), std::move(delivery), std::move(scheduler));
-  for (ProcessId p = 0; p < n; ++p) {
-    if (is_byz[p]) {
-      simulation->mark_faulty(p);
-    }
+  for (const ProcessId b : scenario.byzantine_ids) {
+    simulation->mark_faulty(b);
   }
   scenario.crashes.apply(*simulation);
   return simulation;

@@ -3,8 +3,12 @@
 // for describing experiments.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "adversary/byzantine.hpp"
@@ -22,8 +26,6 @@ enum class ProtocolKind : std::uint8_t {
   majority,   ///< Section 4.1 variant
 };
 
-[[nodiscard]] const char* to_string(ProtocolKind kind) noexcept;
-
 enum class ByzantineKind : std::uint8_t {
   silent,
   equivocator,
@@ -32,7 +34,43 @@ enum class ByzantineKind : std::uint8_t {
   scripted,  ///< move-table-driven (the fuzzer's search space)
 };
 
+/// The spellings of one enum value: `token` on command lines and in
+/// rcp-plan-v1 files, `display` in human-readable reports.
+template <class Kind>
+struct KindName {
+  Kind kind;
+  const char* token;
+  const char* display;
+};
+
+inline constexpr std::array<KindName<ProtocolKind>, 3> kProtocolNames{{
+    {ProtocolKind::fail_stop, "fig1", "fail-stop (Fig 1)"},
+    {ProtocolKind::malicious, "fig2", "malicious (Fig 2)"},
+    {ProtocolKind::majority, "majority", "majority variant (S4.1)"},
+}};
+
+inline constexpr std::array<KindName<ByzantineKind>, 5> kByzantineNames{{
+    {ByzantineKind::silent, "silent", "silent"},
+    {ByzantineKind::equivocator, "equivocator", "equivocator"},
+    {ByzantineKind::balancer, "balancer", "balancer"},
+    {ByzantineKind::babbler, "babbler", "babbler"},
+    {ByzantineKind::scripted, "scripted", "scripted"},
+}};
+
+/// The strategies a command line can name: all but `scripted` (last in
+/// the table), whose move table only a plan file carries.
+inline constexpr std::span<const KindName<ByzantineKind>> kZooNames{
+    kByzantineNames.data(), kByzantineNames.size() - 1};
+
+[[nodiscard]] const char* to_string(ProtocolKind kind) noexcept;
+[[nodiscard]] const char* token(ProtocolKind kind) noexcept;
+[[nodiscard]] std::optional<ProtocolKind> parse_protocol(
+    std::string_view token) noexcept;
+
 [[nodiscard]] const char* to_string(ByzantineKind kind) noexcept;
+[[nodiscard]] const char* token(ByzantineKind kind) noexcept;
+[[nodiscard]] std::optional<ByzantineKind> parse_byzantine(
+    std::string_view token) noexcept;
 
 /// Constructs one Byzantine process of the given strategy. For `scripted`,
 /// `moves` supplies the move table (empty = silent).
@@ -58,6 +96,11 @@ struct Scenario {
   /// Skip the resilience-bound validation (lower-bound experiments only).
   bool unchecked = false;
 };
+
+/// The process in slot `id`: the Byzantine strategy if `id` is one of
+/// `byzantine_ids`, else the protocol with input `inputs[id]`.
+[[nodiscard]] std::unique_ptr<sim::Process> make_process(
+    const Scenario& scenario, ProcessId id);
 
 /// Builds the simulation: protocol processes in every slot except the
 /// Byzantine ones, Byzantine slots marked faulty, crash plan applied.

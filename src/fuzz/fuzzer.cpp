@@ -77,7 +77,7 @@ constexpr SignalSpec kSignals[] = {
 
 std::string EmittedPlan::file_name() const {
   std::string name = "fuzz_";
-  name += protocol_token(plan.spec.protocol);
+  name += adversary::token(plan.spec.protocol);
   name += '_';
   name += signal;
   name += '_';
@@ -170,7 +170,7 @@ void write_report(std::ostream& os, const FuzzConfig& cfg,
   bench::JsonWriter w(os);
   w.begin_object();
   w.field("schema", "rcp-fuzz-v1");
-  w.field("protocol", protocol_token(cfg.protocol));
+  w.field("protocol", adversary::token(cfg.protocol));
   w.field("n", cfg.params.n);
   w.field("k", cfg.params.k);
   w.field("seed", cfg.seed);

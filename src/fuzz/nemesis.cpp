@@ -3,29 +3,9 @@
 #include <memory>
 #include <utility>
 
-#include "core/failstop.hpp"
-#include "core/majority.hpp"
-#include "core/malicious.hpp"
 #include "fuzz/digest.hpp"
 
 namespace rcp::fuzz {
-
-namespace {
-
-std::unique_ptr<sim::Process> make_protocol_process(const PlanSpec& spec,
-                                                    Value input) {
-  switch (spec.protocol) {
-    case adversary::ProtocolKind::fail_stop:
-      return core::FailStopConsensus::make(spec.params, input);
-    case adversary::ProtocolKind::malicious:
-      return core::MaliciousConsensus::make(spec.params, input);
-    case adversary::ProtocolKind::majority:
-      return core::MajorityConsensus::make(spec.params, input);
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 net::ClusterConfig nemesis_cluster_config(const SchedulePlan& plan,
                                           const NemesisConfig& cfg) {
@@ -69,20 +49,10 @@ net::ClusterConfig nemesis_cluster_config(const SchedulePlan& plan,
 }
 
 NemesisResult run_nemesis(const SchedulePlan& plan, const NemesisConfig& cfg) {
-  const PlanSpec& spec = plan.spec;
-  std::vector<bool> is_byz(spec.params.n, false);
-  for (const ProcessId b : spec.byzantine_ids) {
-    is_byz[b] = true;
-  }
-
-  net::Cluster cluster(
-      nemesis_cluster_config(plan, cfg), [&](ProcessId id) {
-        if (is_byz[id]) {
-          return adversary::make_byzantine(spec.byzantine_kind, spec.params,
-                                           spec.moves);
-        }
-        return make_protocol_process(spec, spec.inputs[id]);
-      });
+  const adversary::Scenario scenario = to_scenario(plan);
+  net::Cluster cluster(nemesis_cluster_config(plan, cfg), [&](ProcessId id) {
+    return adversary::make_process(scenario, id);
+  });
 
   NemesisResult out;
   out.cluster = cluster.run();

@@ -1,12 +1,12 @@
 #include "fuzz/plan.hpp"
 
-#include <charconv>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
+#include "common/cli.hpp"
 #include "fuzz/digest.hpp"
 #include "fuzz/tape.hpp"
 
@@ -31,21 +31,15 @@ constexpr std::size_t kTapeValuesPerLine = 16;
 
 std::uint64_t parse_u64(std::string_view token, std::size_t line_no,
                         const char* what) {
-  std::uint64_t v = 0;
-  const char* first = token.data();
-  const char* last = first + token.size();
   // Accept the 0x form the expect line uses for digests.
-  int base = 10;
-  if (token.size() > 2 && token[0] == '0' && token[1] == 'x') {
-    base = 16;
-    first += 2;
-  }
-  const auto [ptr, ec] = std::from_chars(first, last, v, base);
-  if (ec != std::errc{} || ptr != last) {
+  const bool hex = token.size() > 2 && token[0] == '0' && token[1] == 'x';
+  const auto v = cli::parse_number<std::uint64_t>(
+      hex ? token.substr(2) : token, hex ? 16 : 10);
+  if (!v) {
     fail(line_no, std::string("bad ") + what + ": '" + std::string(token) +
                       "'");
   }
-  return v;
+  return *v;
 }
 
 /// Splits a line into whitespace-separated tokens.
@@ -80,34 +74,6 @@ void append_hex(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-const char* protocol_token(adversary::ProtocolKind k) noexcept {
-  switch (k) {
-    case adversary::ProtocolKind::fail_stop:
-      return "fig1";
-    case adversary::ProtocolKind::malicious:
-      return "fig2";
-    case adversary::ProtocolKind::majority:
-      return "majority";
-  }
-  return "?";
-}
-
-const char* byzantine_token(adversary::ByzantineKind k) noexcept {
-  switch (k) {
-    case adversary::ByzantineKind::silent:
-      return "silent";
-    case adversary::ByzantineKind::equivocator:
-      return "equivocator";
-    case adversary::ByzantineKind::balancer:
-      return "balancer";
-    case adversary::ByzantineKind::babbler:
-      return "babbler";
-    case adversary::ByzantineKind::scripted:
-      return "scripted";
-  }
-  return "?";
-}
-
 const char* status_token(sim::RunStatus s) noexcept {
   switch (s) {
     case sim::RunStatus::all_decided:
@@ -125,7 +91,7 @@ std::string SchedulePlan::serialize() const {
   out.reserve(256 + tape.size() * 12);
   out += "rcp-plan-v1\n";
   out += "protocol ";
-  out += protocol_token(spec.protocol);
+  out += adversary::token(spec.protocol);
   out += '\n';
   out += "n " + std::to_string(spec.params.n) + '\n';
   out += "k " + std::to_string(spec.params.k) + '\n';
@@ -136,7 +102,7 @@ std::string SchedulePlan::serialize() const {
   out += '\n';
   if (!spec.byzantine_ids.empty()) {
     out += "byzantine ";
-    out += byzantine_token(spec.byzantine_kind);
+    out += adversary::token(spec.byzantine_kind);
     for (const ProcessId b : spec.byzantine_ids) {
       out += ' ';
       out += std::to_string(b);
@@ -220,25 +186,26 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
     }
     const std::string_view key = toks[0];
     const auto arg_count = toks.size() - 1;
+    // The value of a one-number key; the other keys check their own counts.
+    const auto value = [&] {
+      if (arg_count != 1) {
+        fail(line_no, std::string(key) + " takes one value");
+      }
+      return parse_u64(toks[1], line_no, std::string(key).c_str());
+    };
     if (key == "protocol") {
       if (arg_count != 1) {
         fail(line_no, "protocol takes one argument");
       }
-      if (toks[1] == "fig1") {
-        plan.spec.protocol = adversary::ProtocolKind::fail_stop;
-      } else if (toks[1] == "fig2") {
-        plan.spec.protocol = adversary::ProtocolKind::malicious;
-      } else if (toks[1] == "majority") {
-        plan.spec.protocol = adversary::ProtocolKind::majority;
-      } else {
+      const auto protocol = adversary::parse_protocol(toks[1]);
+      if (!protocol) {
         fail(line_no, "unknown protocol '" + std::string(toks[1]) + "'");
       }
+      plan.spec.protocol = *protocol;
     } else if (key == "n") {
-      plan.spec.params.n =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "n"));
+      plan.spec.params.n = static_cast<std::uint32_t>(value());
     } else if (key == "k") {
-      plan.spec.params.k =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "k"));
+      plan.spec.params.k = static_cast<std::uint32_t>(value());
     } else if (key == "inputs") {
       if (arg_count != 1) {
         fail(line_no, "inputs takes one bitstring");
@@ -255,19 +222,11 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
       if (arg_count < 2) {
         fail(line_no, "byzantine takes a kind and at least one id");
       }
-      if (toks[1] == "silent") {
-        plan.spec.byzantine_kind = adversary::ByzantineKind::silent;
-      } else if (toks[1] == "equivocator") {
-        plan.spec.byzantine_kind = adversary::ByzantineKind::equivocator;
-      } else if (toks[1] == "balancer") {
-        plan.spec.byzantine_kind = adversary::ByzantineKind::balancer;
-      } else if (toks[1] == "babbler") {
-        plan.spec.byzantine_kind = adversary::ByzantineKind::babbler;
-      } else if (toks[1] == "scripted") {
-        plan.spec.byzantine_kind = adversary::ByzantineKind::scripted;
-      } else {
+      const auto kind = adversary::parse_byzantine(toks[1]);
+      if (!kind) {
         fail(line_no, "unknown byzantine kind '" + std::string(toks[1]) + "'");
       }
+      plan.spec.byzantine_kind = *kind;
       plan.spec.byzantine_ids.clear();
       for (std::size_t i = 2; i < toks.size(); ++i) {
         plan.spec.byzantine_ids.push_back(static_cast<ProcessId>(
@@ -302,23 +261,19 @@ SchedulePlan SchedulePlan::parse(std::istream& in) {
       }
       plan.spec.crashes.push_back(c);
     } else if (key == "seed") {
-      plan.spec.seed = parse_u64(toks[1], line_no, "seed");
+      plan.spec.seed = value();
     } else if (key == "max-steps") {
-      plan.spec.max_steps = parse_u64(toks[1], line_no, "max-steps");
+      plan.spec.max_steps = value();
     } else if (key == "phi-weight") {
-      plan.spec.phi_weight =
-          static_cast<std::uint32_t>(parse_u64(toks[1], line_no, "phi-weight"));
+      plan.spec.phi_weight = static_cast<std::uint32_t>(value());
     } else if (key == "net-drop-permille") {
-      plan.spec.net_drop_permille = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-drop-permille"));
+      plan.spec.net_drop_permille = static_cast<std::uint32_t>(value());
     } else if (key == "net-delay-max-ms") {
-      plan.spec.net_delay_max_ms = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-delay-max-ms"));
+      plan.spec.net_delay_max_ms = static_cast<std::uint32_t>(value());
     } else if (key == "net-disconnects") {
-      plan.spec.net_disconnects = static_cast<std::uint32_t>(
-          parse_u64(toks[1], line_no, "net-disconnects"));
+      plan.spec.net_disconnects = static_cast<std::uint32_t>(value());
     } else if (key == "tape-seed") {
-      plan.tape_seed = parse_u64(toks[1], line_no, "tape-seed");
+      plan.tape_seed = value();
     } else if (key == "tape") {
       for (std::size_t i = 1; i < toks.size(); ++i) {
         plan.tape.push_back(static_cast<std::uint32_t>(

@@ -92,8 +92,6 @@ struct SchedulePlan {
 /// Builds the simulation with the plan's tape driving both policies.
 [[nodiscard]] std::unique_ptr<sim::Simulation> build(const SchedulePlan& plan);
 
-[[nodiscard]] const char* protocol_token(adversary::ProtocolKind k) noexcept;
-[[nodiscard]] const char* byzantine_token(adversary::ByzantineKind k) noexcept;
 [[nodiscard]] const char* status_token(sim::RunStatus s) noexcept;
 
 }  // namespace rcp::fuzz

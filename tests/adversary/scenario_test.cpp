@@ -92,5 +92,32 @@ TEST(Scenario, ProtocolKindNames) {
   EXPECT_STREQ(to_string(ProtocolKind::majority), "majority variant (S4.1)");
 }
 
+TEST(Scenario, TokensRoundTrip) {
+  for (const auto& e : kProtocolNames) {
+    EXPECT_EQ(parse_protocol(token(e.kind)), e.kind) << e.token;
+  }
+  for (const auto& e : kByzantineNames) {
+    EXPECT_EQ(parse_byzantine(token(e.kind)), e.kind) << e.token;
+  }
+  EXPECT_EQ(parse_protocol("fig3"), std::nullopt);
+  EXPECT_EQ(parse_byzantine("none"), std::nullopt);
+  // Command lines name the zoo; only plan files carry a scripted cast.
+  for (const auto& e : kZooNames) {
+    EXPECT_NE(e.kind, ByzantineKind::scripted);
+  }
+  EXPECT_EQ(kZooNames.size() + 1, kByzantineNames.size());
+}
+
+TEST(Scenario, MakeProcessFillsByzantineSlotsWithTheStrategy) {
+  Scenario s = base();
+  s.byzantine_ids = {2};
+  s.byzantine_kind = ByzantineKind::silent;
+  EXPECT_NE(dynamic_cast<SilentByzantine*>(make_process(s, 2).get()),
+            nullptr);
+  EXPECT_EQ(dynamic_cast<SilentByzantine*>(make_process(s, 3).get()),
+            nullptr);
+  EXPECT_THROW((void)make_process(s, 7), PreconditionError);
+}
+
 }  // namespace
 }  // namespace rcp::adversary

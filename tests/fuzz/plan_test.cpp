@@ -111,6 +111,16 @@ TEST(Plan, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)SchedulePlan::parse_string(
                    "rcp-plan-v1\nprotocol fig2\nn 4\nk 0\ninputs 010\nend\n"),
                std::runtime_error);
+  // A one-number key without its number (read past the line before).
+  for (const char* key : {"n", "k", "seed", "max-steps", "phi-weight",
+                          "net-drop-permille", "net-delay-max-ms",
+                          "net-disconnects", "tape-seed"}) {
+    EXPECT_THROW((void)SchedulePlan::parse_string(
+                     std::string("rcp-plan-v1\nprotocol fig2\nn 3\nk 0\n") +
+                     key + "\ninputs 010\nend\n"),
+                 std::runtime_error)
+        << key;
+  }
 }
 
 TEST(Plan, ParseReportsLineNumbers) {
@@ -164,9 +174,9 @@ TEST(Plan, ValidateEnforcesResilienceAndShape) {
 }
 
 TEST(Plan, TokensAreStable) {
-  EXPECT_STREQ(protocol_token(adversary::ProtocolKind::fail_stop), "fig1");
-  EXPECT_STREQ(protocol_token(adversary::ProtocolKind::malicious), "fig2");
-  EXPECT_STREQ(protocol_token(adversary::ProtocolKind::majority), "majority");
+  EXPECT_STREQ(adversary::token(adversary::ProtocolKind::fail_stop), "fig1");
+  EXPECT_STREQ(adversary::token(adversary::ProtocolKind::malicious), "fig2");
+  EXPECT_STREQ(adversary::token(adversary::ProtocolKind::majority), "majority");
   EXPECT_STREQ(status_token(sim::RunStatus::all_decided), "decided");
   EXPECT_STREQ(status_token(sim::RunStatus::quiescent), "quiescent");
   EXPECT_STREQ(status_token(sim::RunStatus::step_limit), "step-limit");

@@ -10,32 +10,16 @@
 //   --replay FILE    execute one plan, verify its embedded expect line
 //   --nemesis FILE   replay the plan's fault scenario on a net::Cluster
 //
-// Options (fuzz mode):
-//   --protocol fig1|fig2|majority   (default fig2)
-//   --n N --k K                     (default n=7, k=2)
-//   --seed S                        search seed (default 1)
-//   --budget B                      total executions (default 256)
-//   --threads T                     workers; never affects results
-//   --batch B                       trials per batch (default 32)
-//   --minimize | --no-minimize      shrink goldens (default on)
-//   --minimize-attempts A           per-golden shrink budget (default 48)
-//   --max-emit E                    golden plans to emit (default 4)
-//   --emit-dir DIR                  write goldens as .plan files
-//   --json FILE                     rcp-fuzz-v1 report (default: stdout)
-//
-// Options (--nemesis):
-//   --loop-threads T --timeout-ms MS
-//
 // The JSON report contains no thread count and no wall-clock fields — CI
 // diffs it across thread counts — so timing goes to stderr only.
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "fuzz/executor.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/nemesis.hpp"
@@ -54,94 +38,28 @@ struct Options {
   fuzz::NemesisConfig nemesis;
 };
 
-int usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0
-      << " [--protocol fig1|fig2|majority] [--n N] [--k K] [--seed S]\n"
-         "       [--budget B] [--threads T] [--batch B]\n"
-         "       [--minimize | --no-minimize] [--minimize-attempts A]\n"
-         "       [--max-emit E] [--emit-dir DIR] [--json FILE]\n"
-         "       | --replay FILE\n"
-         "       | --nemesis FILE [--loop-threads T] [--timeout-ms MS]\n";
-  return 2;
-}
-
-std::optional<Options> parse(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return ++i < argc ? argv[i] : nullptr;
-    };
-    auto next_u64 = [&](std::uint64_t& out) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out = std::stoull(v);
-      return true;
-    };
-    auto next_u32 = [&](std::uint32_t& out) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      out = static_cast<std::uint32_t>(std::stoul(v));
-      return true;
-    };
-    if (flag == "--protocol") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      if (std::strcmp(v, "fig1") == 0) {
-        opt.fuzz.protocol = adversary::ProtocolKind::fail_stop;
-      } else if (std::strcmp(v, "fig2") == 0) {
-        opt.fuzz.protocol = adversary::ProtocolKind::malicious;
-      } else if (std::strcmp(v, "majority") == 0) {
-        opt.fuzz.protocol = adversary::ProtocolKind::majority;
-      } else {
-        return std::nullopt;
-      }
-    } else if (flag == "--n") {
-      if (!next_u32(opt.fuzz.params.n)) return std::nullopt;
-    } else if (flag == "--k") {
-      if (!next_u32(opt.fuzz.params.k)) return std::nullopt;
-    } else if (flag == "--seed") {
-      if (!next_u64(opt.fuzz.seed)) return std::nullopt;
-    } else if (flag == "--budget") {
-      if (!next_u64(opt.fuzz.budget)) return std::nullopt;
-    } else if (flag == "--threads") {
-      if (!next_u32(opt.fuzz.threads)) return std::nullopt;
-    } else if (flag == "--batch") {
-      if (!next_u32(opt.fuzz.batch)) return std::nullopt;
-    } else if (flag == "--minimize") {
-      opt.fuzz.minimize = true;
-    } else if (flag == "--no-minimize") {
-      opt.fuzz.minimize = false;
-    } else if (flag == "--minimize-attempts") {
-      if (!next_u32(opt.fuzz.minimize_attempts)) return std::nullopt;
-    } else if (flag == "--max-emit") {
-      if (!next_u32(opt.fuzz.max_emit)) return std::nullopt;
-    } else if (flag == "--emit-dir") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.emit_dir = v;
-    } else if (flag == "--json") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.json_path = v;
-    } else if (flag == "--replay") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.replay_path = v;
-    } else if (flag == "--nemesis") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      opt.nemesis_path = v;
-    } else if (flag == "--loop-threads") {
-      if (!next_u32(opt.nemesis.loop_threads)) return std::nullopt;
-    } else if (flag == "--timeout-ms") {
-      if (!next_u32(opt.nemesis.timeout_ms)) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
-  return opt;
+cli::Parser flags(Options& opt) {
+  cli::Parser p;
+  p.choice("--protocol", opt.fuzz.protocol, adversary::kProtocolNames,
+           "(default fig2)")
+      .value("--n", "N", opt.fuzz.params.n, "(default 7)")
+      .value("--k", "K", opt.fuzz.params.k, "(default 2)")
+      .value("--seed", "S", opt.fuzz.seed, "search seed (default 1)")
+      .value("--budget", "B", opt.fuzz.budget, "executions (default 256)")
+      .value("--threads", "T", opt.fuzz.threads, "never changes results")
+      .value("--batch", "B", opt.fuzz.batch, "trials per batch (default 32)")
+      .set("--minimize", opt.fuzz.minimize, true, "shrink goldens (default)")
+      .set("--no-minimize", opt.fuzz.minimize, false, "keep goldens as found")
+      .value("--minimize-attempts", "A", opt.fuzz.minimize_attempts,
+             "per-golden shrink budget (default 48)")
+      .value("--max-emit", "E", opt.fuzz.max_emit, "(default 4)")
+      .value("--emit-dir", "DIR", opt.emit_dir, "write goldens as .plan")
+      .value("--json", "FILE", opt.json_path, "rcp-fuzz-v1 report")
+      .value("--replay", "FILE", opt.replay_path, "run a plan, check expect")
+      .value("--nemesis", "FILE", opt.nemesis_path, "run it on a live mesh")
+      .value("--loop-threads", "T", opt.nemesis.loop_threads, "--nemesis loops")
+      .value("--timeout-ms", "MS", opt.nemesis.timeout_ms, "--nemesis limit");
+  return p;
 }
 
 fuzz::SchedulePlan load_plan(const std::string& path) {
@@ -251,11 +169,10 @@ int fuzz_mode(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto parsed = parse(argc, argv);
-  if (!parsed.has_value()) {
-    return usage(argv[0]);
+  Options opt;
+  if (!flags(opt).parse(argc, argv)) {
+    return 2;
   }
-  const Options& opt = *parsed;
   const int modes = (opt.replay_path.empty() ? 0 : 1) +
                     (opt.nemesis_path.empty() ? 0 : 1);
   if (modes > 1) {
