@@ -96,6 +96,45 @@ void BM_EncodeDecodeRbxMsg(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeDecodeRbxMsg);
 
+/// A batch of `count` KV-shaped votes (wide tags and values), as an
+/// RbxBatcher lane holds them at flush.
+std::vector<ext::RbxMsg> rbx_batch_lane(std::size_t count) {
+  std::vector<ext::RbxMsg> lane(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    lane[i] = {.kind = i % 2 == 0 ? ext::RbxMsg::Kind::echo
+                                  : ext::RbxMsg::Kind::ready,
+               .origin = static_cast<ProcessId>(i % 7),
+               .tag = (std::uint64_t{i % 4} << 48) | i,
+               .value = 0x9e3779b97f4a7c15ULL * (i + 1)};
+  }
+  return lane;
+}
+
+void BM_RbxBatchEncode(benchmark::State& state) {
+  const std::vector<ext::RbxMsg> lane =
+      rbx_batch_lane(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ext::RbxBatch::encode(lane));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RbxBatchEncode)->Arg(256);
+
+void BM_RbxBatchDecode(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  const Bytes frame = ext::RbxBatch::encode(rbx_batch_lane(count));
+  std::vector<ext::RbxMsg> scratch;
+  scratch.reserve(count);
+  for (auto _ : state) {
+    scratch.clear();
+    ext::RbxBatch::decode_into(frame, scratch, ext::kRbValueAny);
+    benchmark::DoNotOptimize(scratch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RbxBatchDecode)->Arg(256);
+
 /// Rebroadcasts every received payload to all n processes: each atomic step
 /// is one delivery plus one n-message fan-out, which isolates the
 /// broadcast/mailbox path of the simulator.

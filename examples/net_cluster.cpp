@@ -130,16 +130,25 @@ cli::Parser flags(Options& opt) {
 /// only matters for fig1/fig2.
 using Plan = adversary::Scenario;
 
+/// Ben-Or runs its Byzantine variant exactly when an adversary is named.
+baselines::BenOrVariant benor_variant(const Options& opt) {
+  return opt.adversary.has_value() ? baselines::BenOrVariant::byzantine
+                                   : baselines::BenOrVariant::crash;
+}
+
 Plan resolve_plan(const Options& opt) {
   Plan plan;
-  plan.protocol = opt.protocol == "fig1" ? adversary::ProtocolKind::fail_stop
-                                         : adversary::ProtocolKind::malicious;
-  const core::FaultModel model =
-      (opt.protocol == "fig1" ||
-       (opt.protocol == "benor" && !opt.adversary.has_value()))
-          ? core::FaultModel::fail_stop
-          : core::FaultModel::malicious;
-  plan.params = {opt.n, opt.k.value_or(core::max_resilience(model, opt.n))};
+  const bool fig1 = opt.protocol == "fig1";
+  plan.protocol = fig1 ? adversary::ProtocolKind::fail_stop
+                       : adversary::ProtocolKind::malicious;
+  // Default k: the protocol's own resilience bound.
+  const std::uint32_t max_k =
+      opt.protocol == "benor"
+          ? baselines::benor_max_resilience(benor_variant(opt), opt.n)
+          : core::max_resilience(fig1 ? core::FaultModel::fail_stop
+                                      : core::FaultModel::malicious,
+                                 opt.n);
+  plan.params = {opt.n, opt.k.value_or(max_k)};
   plan.inputs =
       adversary::inputs_with_ones(opt.n, opt.ones.value_or(opt.n / 2));
   if (opt.adversary.has_value()) {
@@ -160,10 +169,7 @@ std::unique_ptr<sim::Process> make_process(const Options& opt,
       std::find(plan.byzantine_ids.begin(), plan.byzantine_ids.end(), id) !=
       plan.byzantine_ids.end();
   if (!byzantine && opt.protocol == "benor") {
-    const auto variant = opt.adversary.has_value()
-                             ? baselines::BenOrVariant::byzantine
-                             : baselines::BenOrVariant::crash;
-    return baselines::BenOrConsensus::make(plan.params, variant,
+    return baselines::BenOrConsensus::make(plan.params, benor_variant(opt),
                                            plan.inputs[id]);
   }
   if (!byzantine && opt.protocol == "bracha87") {

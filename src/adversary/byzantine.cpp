@@ -7,6 +7,25 @@ namespace rcp::adversary {
 using core::EchoProtocolMsg;
 using core::MajorityMsg;
 
+namespace {
+
+/// Two-faced send: `msg` carrying `low` to every q with below(q), carrying
+/// `high` to the rest, in id order. Each face is encoded once and copied
+/// per destination, so the cost is the attack's, not the encoder's.
+template <class Below>
+void send_two_faced(sim::Context& ctx, std::uint32_t n, EchoProtocolMsg msg,
+                    Value low, Value high, Below below) {
+  msg.value = low;
+  const Bytes low_face = msg.encode();
+  msg.value = high;
+  const Bytes high_face = msg.encode();
+  for (ProcessId q = 0; q < n; ++q) {
+    ctx.send(q, below(q) ? low_face : high_face);
+  }
+}
+
+}  // namespace
+
 void ByzantineBase::on_start(sim::Context& ctx) {
   started_ = true;
   attack_phase(ctx, 0);
@@ -39,13 +58,10 @@ void ByzantineBase::observe(sim::Context& /*ctx*/, ProcessId /*sender*/,
 
 void EquivocatorByzantine::attack_phase(sim::Context& ctx, Phase t) {
   const std::uint32_t n = params().n;
-  for (ProcessId q = 0; q < n; ++q) {
-    // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
-    const Value v = q < n / 2 ? Value::zero : Value::one;
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = false, .from = ctx.self(), .value = v, .phase = t}
-                    .encode());
-  }
+  send_two_faced(ctx, n, {.is_echo = false, .from = ctx.self(), .phase = t},
+                 Value::zero, Value::one,
+                 // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
+                 [n](ProcessId q) { return q < n / 2; });
 }
 
 void EquivocatorByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
@@ -56,13 +72,10 @@ void EquivocatorByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
   // Two-faced echoing of other processes' initials: confirm the true value
   // to one half of the system and the opposite value to the other half.
   const std::uint32_t n = params().n;
-  for (ProcessId q = 0; q < n; ++q) {
-    // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
-    const Value v = q < n / 2 ? msg.value : other(msg.value);
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = true, .from = msg.from, .value = v, .phase = msg.phase}
-                    .encode());
-  }
+  send_two_faced(ctx, n, {.is_echo = true, .from = msg.from, .phase = msg.phase},
+                 msg.value, other(msg.value),
+                 // rcp-lint: allow(threshold) id-space split for equivocation, not a quorum
+                 [n](ProcessId q) { return q < n / 2; });
 }
 
 // ---- Balancer ---------------------------------------------------------
@@ -149,13 +162,10 @@ void ScriptedByzantine::attack_phase(sim::Context& ctx, Phase t) {
   if (move == nullptr) {
     return;  // empty script: silent
   }
-  const std::uint32_t n = params().n;
-  for (ProcessId q = 0; q < n; ++q) {
-    const Value v = below_split(*move, q) ? move->low_value : move->high_value;
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = false, .from = ctx.self(), .value = v, .phase = t}
-                    .encode());
-  }
+  send_two_faced(ctx, params().n,
+                 {.is_echo = false, .from = ctx.self(), .phase = t},
+                 move->low_value, move->high_value,
+                 [&](ProcessId q) { return below_split(*move, q); });
 }
 
 void ScriptedByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
@@ -167,15 +177,11 @@ void ScriptedByzantine::observe(sim::Context& ctx, ProcessId /*sender*/,
   if (move == nullptr || move->echo_mode == 0) {
     return;
   }
-  const std::uint32_t n = params().n;
-  for (ProcessId q = 0; q < n; ++q) {
-    const Value v = move->echo_mode == 1 || below_split(*move, q)
-                        ? msg.value
-                        : other(msg.value);
-    ctx.send(q, EchoProtocolMsg{
-                    .is_echo = true, .from = msg.from, .value = v, .phase = msg.phase}
-                    .encode());
-  }
+  send_two_faced(ctx, params().n,
+                 {.is_echo = true, .from = msg.from, .phase = msg.phase},
+                 msg.value, other(msg.value), [&](ProcessId q) {
+                   return move->echo_mode == 1 || below_split(*move, q);
+                 });
 }
 
 // ---- SplitVoice (majority variant attack) ------------------------------

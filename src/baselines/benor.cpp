@@ -56,9 +56,7 @@ BenOrConsensus::WireMsg BenOrConsensus::decode_wire(const Bytes& payload) {
 std::unique_ptr<BenOrConsensus> BenOrConsensus::make(
     core::ConsensusParams params, BenOrVariant variant, Value initial_value) {
   RCP_EXPECT(params.n >= 1, "need at least one process");
-  const std::uint32_t bound = variant == BenOrVariant::crash
-                                  ? (params.n - 1) / 2
-                                  : (params.n - 1) / 5;
+  const std::uint32_t bound = benor_max_resilience(variant, params.n);
   RCP_EXPECT(params.k <= bound,
              "k = " + std::to_string(params.k) +
                  " exceeds the Ben-Or resilience bound " +

@@ -32,6 +32,17 @@ namespace rcp::baselines {
 
 enum class BenOrVariant : std::uint8_t { crash, byzantine };
 
+/// The largest k the variant tolerates at cluster size n (see the
+/// resilience note above); BenOrConsensus::make rejects anything larger.
+[[nodiscard]] constexpr std::uint32_t benor_max_resilience(
+    BenOrVariant variant, std::uint32_t n) noexcept {
+  if (n == 0) {
+    return 0;
+  }
+  // rcp-lint: allow(threshold) Ben-Or's own bound, not a Bracha-Toueg quorum
+  return variant == BenOrVariant::crash ? (n - 1) / 2 : (n - 1) / 5;
+}
+
 class BenOrConsensus final : public sim::Process {
  public:
   /// Decoded wire message (exposed for the codec unit tests).

@@ -7,8 +7,11 @@
 // graceful failure instead of undefined behaviour.
 #pragma once
 
+#include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "common/error.hpp"
@@ -21,33 +24,55 @@ namespace rcp {
 /// a message never allocates.
 using Bytes = Payload;
 
-/// Appends fixed-width little-endian integers to a byte buffer.
+/// Writes `v` at `p` as sizeof(T) little-endian bytes (`p` needs no
+/// alignment) and returns the cursor just past them. Every codec in the
+/// tree, down to the transport's frame headers, writes through this.
+template <std::unsigned_integral T>
+inline std::byte* store_le(std::byte* p, T v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::byte>(v >> (8 * i));
+    }
+  }
+  return p + sizeof(T);
+}
+
+/// Reads sizeof(T) little-endian bytes at `p`. Unchecked: the caller has
+/// already bounded the read.
+template <std::unsigned_integral T>
+[[nodiscard]] inline T load_le(const std::byte* p) noexcept {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(std::to_integer<T>(p[i]) << (8 * i));
+    }
+  }
+  return v;
+}
+
+/// Appends fixed-width little-endian integers to a byte buffer, a whole
+/// field (one capacity check) per call.
 class ByteWriter {
  public:
   explicit ByteWriter(std::size_t reserve_hint = 16) { out_.reserve(reserve_hint); }
 
-  ByteWriter& u8(std::uint8_t v) {
-    out_.push_back(static_cast<std::byte>(v));
-    return *this;
-  }
-
-  ByteWriter& u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-    return *this;
-  }
-
-  ByteWriter& u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-    }
-    return *this;
-  }
+  ByteWriter& u8(std::uint8_t v) { return put(v); }
+  ByteWriter& u32(std::uint32_t v) { return put(v); }
+  ByteWriter& u64(std::uint64_t v) { return put(v); }
 
   [[nodiscard]] Bytes take() && { return std::move(out_); }
 
  private:
+  template <std::unsigned_integral T>
+  ByteWriter& put(T v) {
+    store_le(out_.extend(sizeof(T)), v);
+    return *this;
+  }
+
   Bytes out_;
 };
 
@@ -58,28 +83,9 @@ class ByteReader {
   explicit ByteReader(const Payload& payload) noexcept
       : data_(payload.span()) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
+  [[nodiscard]] std::uint8_t u8() { return get<std::uint8_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return get<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return get<std::uint64_t>(); }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
@@ -93,10 +99,14 @@ class ByteReader {
   }
 
  private:
-  void need(std::size_t bytes) const {
-    if (data_.size() - pos_ < bytes) {
+  template <std::unsigned_integral T>
+  [[nodiscard]] T get() {
+    if (data_.size() - pos_ < sizeof(T)) {
       throw DecodeError("message payload truncated");
     }
+    const T v = load_le<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
   }
 
   std::span<const std::byte> data_;

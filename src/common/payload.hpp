@@ -182,18 +182,25 @@ class Payload {
       size_ = static_cast<std::uint32_t>(count);
       return;
     }
-    grow_for(count);
-    std::memset(storage() + size_, std::to_integer<int>(fill), count - size_);
-    size_ = static_cast<std::uint32_t>(count);
+    const std::size_t added = count - size_;
+    std::memset(extend(added), std::to_integer<int>(fill), added);
   }
 
   void append(const std::byte* src, std::size_t len) {
     if (len == 0) {
       return;
     }
+    std::memcpy(extend(len), src, len);
+  }
+
+  /// Grows the payload by `len` bytes with one capacity check and returns
+  /// a pointer to them. Their contents are unspecified: the caller writes
+  /// all `len` bytes (the codecs' whole-field and whole-batch writes).
+  [[nodiscard]] std::byte* extend(std::size_t len) {
     grow_for(size_ + len);
-    std::memcpy(storage() + size_, src, len);
+    std::byte* tail = storage() + size_;
     size_ += static_cast<std::uint32_t>(len);
+    return tail;
   }
 
   void assign(const std::byte* first, const std::byte* last) {

@@ -12,6 +12,9 @@ namespace rcp::ext {
 namespace {
 constexpr std::uint8_t kRbxTagBase = 40;  // 40 initial, 41 echo, 42 ready
 constexpr std::uint32_t kMinCapacity = 64;
+/// Batch header: tag u8, count u32.
+constexpr std::size_t kBatchHeaderSize = 1 + 4;
+/// Batch entry: kind u8 @0, origin u32 @1, tag u64 @5, value u64 @13.
 constexpr std::size_t kBatchEntrySize = 1 + 4 + 8 + 8;
 
 /// SplitMix64 finalizer: full-avalanche mix for the (origin, tag) hash.
@@ -60,13 +63,17 @@ bool RbxBatch::is_batch(const Bytes& payload) noexcept {
 Bytes RbxBatch::encode(std::span<const RbxMsg> msgs) {
   RCP_INVARIANT(!msgs.empty() && msgs.size() <= kMaxMessages,
                 "RbxBatch::encode: 1..kMaxMessages messages");
-  ByteWriter w(1 + 4 + msgs.size() * kBatchEntrySize);
-  w.u8(kTagByte).u32(static_cast<std::uint32_t>(msgs.size()));
+  Bytes out;
+  std::byte* p = out.extend(kBatchHeaderSize + msgs.size() * kBatchEntrySize);
+  p = store_le(p, kTagByte);
+  p = store_le(p, static_cast<std::uint32_t>(msgs.size()));
   for (const RbxMsg& m : msgs) {
-    w.u8(static_cast<std::uint8_t>(m.kind)).u32(m.origin).u64(m.tag).u64(
-        m.value);
+    p = store_le(p, static_cast<std::uint8_t>(m.kind));
+    p = store_le(p, m.origin);
+    p = store_le(p, m.tag);
+    p = store_le(p, m.value);
   }
-  return std::move(w).take();
+  return out;
 }
 
 void RbxBatch::decode_into(const Bytes& payload, std::vector<RbxMsg>& out,
@@ -82,28 +89,28 @@ void RbxBatch::decode_into(const Bytes& payload, std::vector<RbxMsg>& out,
   if (r.remaining() != static_cast<std::size_t>(count) * kBatchEntrySize) {
     throw DecodeError("batch size disagrees with count");
   }
-  // Transactional: a throw on any entry leaves `out` as it came in, so a
-  // caller reusing one scratch vector never feeds phantom messages from a
-  // half-decoded Byzantine frame.
+  // The size check above bounds every entry read below, so fields are
+  // loaded unchecked. Transactional: a throw on any entry leaves `out` as
+  // it came in, so a caller reusing one scratch vector never feeds phantom
+  // messages from a half-decoded Byzantine frame.
+  const std::byte* p = payload.data() + kBatchHeaderSize;
   const std::size_t base = out.size();
   try {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      RbxMsg msg;
-      const std::uint8_t kind = r.u8();
+    for (std::uint32_t i = 0; i < count; ++i, p += kBatchEntrySize) {
+      const auto kind = load_le<std::uint8_t>(p);
       if (kind > static_cast<std::uint8_t>(RbxMsg::Kind::ready)) {
         throw DecodeError("batch entry kind out of range");
       }
-      msg.kind = static_cast<RbxMsg::Kind>(kind);
-      msg.origin = r.u32();
-      msg.tag = r.u64();
-      msg.value = r.u64();
-      if (msg.value > max_value) {
+      const auto value = load_le<std::uint64_t>(p + 13);
+      if (value > max_value) {
         throw DecodeError("payload field out of range");
       }
       // rcp-lint: allow(hot-alloc) caller-owned scratch, amortized across batches
-      out.push_back(msg);
+      out.push_back(RbxMsg{.kind = static_cast<RbxMsg::Kind>(kind),
+                           .origin = load_le<std::uint32_t>(p + 1),
+                           .tag = load_le<std::uint64_t>(p + 5),
+                           .value = value});
     }
-    r.expect_done();
   } catch (...) {
     // rcp-lint: allow(hot-alloc) shrink-only rollback, never allocates
     out.resize(base);

@@ -695,10 +695,10 @@ void Node::deliver_local_once() {
   }
   // One pass over the messages present now; requeues generated during the
   // pass wait for the next loop iteration (the paper's requeue device
-  // must not spin faster than network progress).
-  std::vector<sim::Envelope> batch;
-  batch.swap(local_inbox_);
-  for (sim::Envelope& env : batch) {
+  // must not spin faster than network progress). The swap hands the inbox
+  // the drain buffer's capacity, so neither vector reallocates once warm.
+  local_drain_.swap(local_inbox_);
+  for (sim::Envelope& env : local_drain_) {
     ++stats_.msgs_delivered;
     LoopContext ctx(*this);
     try {
@@ -708,9 +708,10 @@ void Node::deliver_local_once() {
     after_event();
     apply_due_disconnects(Clock::now());
     if (crash_pending_ || stop_.load(std::memory_order_acquire)) {
-      return;  // a crashed process loses its remaining buffered messages
+      break;  // a crashed process loses its remaining buffered messages
     }
   }
+  local_drain_.clear();
 }
 
 void Node::send_from_process(ProcessId to, Bytes payload) {

@@ -259,8 +259,10 @@ class Node {
   bool listener_watched_ RCP_GUARDED_BY(loop_affinity_) = false;
   std::uint32_t pending_token_seq_ RCP_GUARDED_BY(loop_affinity_) = 0;
 
-  /// Self-send inbox (the paper's requeue device).
+  /// Self-send inbox (the paper's requeue device), and the buffer one
+  /// delivery pass drains; the two swap roles each pass.
   std::vector<sim::Envelope> local_inbox_ RCP_GUARDED_BY(loop_affinity_);
+  std::vector<sim::Envelope> local_drain_ RCP_GUARDED_BY(loop_affinity_);
   std::uint64_t local_seq_ RCP_GUARDED_BY(loop_affinity_) = 0;
 
   /// Loop-thread view, for the one-shot invariant.

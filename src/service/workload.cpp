@@ -15,6 +15,7 @@ Workload build_workload(core::ConsensusParams params, std::uint32_t byzantine,
                         std::uint32_t shards, std::uint64_t total_ops,
                         std::uint64_t seed) {
   RCP_EXPECT(byzantine < params.n, "workload: no correct replica left");
+  RCP_EXPECT(shards > 0, "workload: needs at least one shard");
   Workload w;
   w.n = params.n;
   w.shards = shards;

@@ -136,5 +136,23 @@ TEST(RbxBatch, DecodeIntoAppendsNothingOnFailure) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(RbxBatch, BadLastEntryLeavesPrefilledOutputAtItsOldSize) {
+  // Only the final entry is bad, so every entry before it has already been
+  // decoded when the throw comes; all of them must be rolled back, and the
+  // messages the caller had in `out` before the call must survive.
+  Bytes frame = enc({msg(RbxMsg::Kind::initial, 0, 1, 0),
+                     msg(RbxMsg::Kind::echo, 1, 7, 1),
+                     msg(RbxMsg::Kind::ready, 2, 8, 0)});
+  frame[5 + 2 * 21] = std::byte{3};  // the third entry's kind
+  std::vector<RbxMsg> out = {msg(RbxMsg::Kind::echo, 5, 99, 1),
+                             msg(RbxMsg::Kind::ready, 6, 100, 0)};
+  EXPECT_THROW(RbxBatch::decode_into(frame, out, kMaxRbValue), DecodeError);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].origin, 5u);
+  EXPECT_EQ(out[0].tag, 99u);
+  EXPECT_EQ(out[1].origin, 6u);
+  EXPECT_EQ(out[1].tag, 100u);
+}
+
 }  // namespace
 }  // namespace rcp::ext

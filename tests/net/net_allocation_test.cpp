@@ -4,7 +4,8 @@
 // recording — performs zero heap allocations. Frames are gathered in place
 // from the ring (header bytes precomputed at enqueue), so there is no
 // per-send serialization, and protocol-sized payloads stay in the inline
-// Bytes capacity.
+// Bytes capacity. The same holds for self-sends: a warm Node delivers its
+// local inbox without allocating.
 //
 // The binary-wide operator new override counts every allocation; each test
 // snapshots before/after deltas. (Same instrument as
@@ -14,9 +15,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "common/payload.hpp"
+#include "common/process.hpp"
+#include "net/node.hpp"
 #include "net/peer.hpp"
 #include "net/stats.hpp"
 
@@ -145,6 +149,58 @@ TEST(NetAllocation, RetransmitRewindIsAllocationFree) {
   EXPECT_EQ(g_allocations.load() - before, 0u)
       << "rewind and retransmission must not touch the heap";
   EXPECT_EQ(link.queue_depth(), 0u);
+}
+
+/// Keeps kInFlight self-sends circulating (every delivery re-sends itself)
+/// and measures the allocations of the deliveries after a warm-up.
+class SelfLoopProcess final : public sim::Process {
+ public:
+  static constexpr std::uint64_t kInFlight = 4;
+  static constexpr std::uint64_t kWarm = 40;
+  static constexpr std::uint64_t kMeasured = 400;
+
+  Node* node = nullptr;
+  std::uint64_t delivered = 0;
+  std::uint64_t allocations = 0;
+
+  void on_start(sim::Context& ctx) override {
+    for (std::uint64_t i = 0; i < kInFlight; ++i) {
+      ctx.send(ctx.self(), small_payload(static_cast<std::uint32_t>(i)));
+    }
+  }
+
+  void on_message(sim::Context& ctx, const sim::Envelope& env) override {
+    ++delivered;
+    if (delivered == kWarm) {
+      before_ = g_allocations.load();
+    }
+    if (delivered == kWarm + kMeasured) {
+      allocations = g_allocations.load() - before_;
+      node->request_stop();
+      return;
+    }
+    ctx.send(ctx.self(), env.payload);
+  }
+
+ private:
+  std::uint64_t before_ = 0;
+};
+
+TEST(NetAllocation, SelfDeliverySteadyStateIsAllocationFree) {
+  // A one-node cluster: every message is a self-send, so each loop pass
+  // drains the local inbox while the deliveries refill it.
+  NodeConfig cfg;
+  cfg.id = 0;
+  cfg.n = 1;
+  auto owned = std::make_unique<SelfLoopProcess>();
+  SelfLoopProcess& process = *owned;
+  Node node(std::move(cfg), std::move(owned));
+  process.node = &node;
+  node.run();
+  ASSERT_EQ(process.delivered,
+            SelfLoopProcess::kWarm + SelfLoopProcess::kMeasured);
+  EXPECT_EQ(process.allocations, 0u)
+      << "a warm self-delivery pass must reuse the inbox and drain buffers";
 }
 
 }  // namespace

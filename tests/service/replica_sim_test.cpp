@@ -10,7 +10,9 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
 #include "service/sim_service.hpp"
+#include "service/workload.hpp"
 
 namespace rcp::service {
 namespace {
@@ -54,6 +56,16 @@ TEST(KvServiceSim, ManyShardsConverge) {
   SimServiceConfig cfg = base_config();
   cfg.shards = 8;
   expect_converged(run_sim_service(cfg));
+}
+
+TEST(KvServiceSim, ZeroShardsIsAPreconditionError) {
+  // The workload spreads keys over shards by division; zero shards must be
+  // refused up front, not reach the division.
+  SimServiceConfig cfg = base_config();
+  cfg.shards = 0;
+  EXPECT_THROW((void)run_sim_service(cfg), PreconditionError);
+  EXPECT_THROW((void)build_workload(cfg.params, 0, 0, 10, 1),
+               PreconditionError);
 }
 
 TEST(KvServiceSim, EquivocatorCannotSplitReplicaState) {
