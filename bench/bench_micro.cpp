@@ -21,8 +21,8 @@
 #include "core/failstop.hpp"
 #include "core/malicious.hpp"
 #include "core/messages.hpp"
-#include "core/reliable_broadcast.hpp"
 #include "extensions/rb_engine.hpp"
+#include "extensions/reliable_broadcast.hpp"
 #include "runtime/parallel_series.hpp"
 #include "runtime/scenario_series.hpp"
 #include "runtime/seeding.hpp"
@@ -78,10 +78,10 @@ void BM_EncodeDecodeMajorityMsg(benchmark::State& state) {
 BENCHMARK(BM_EncodeDecodeMajorityMsg);
 
 void BM_EncodeDecodeRbMsg(benchmark::State& state) {
-  const core::RbMsg msg{.kind = core::RbMsg::Kind::ready, .value = Value::one};
+  const ext::RbMsg msg{.kind = ext::RbMsg::Kind::ready, .value = Value::one};
   for (auto _ : state) {
     const Bytes buf = msg.encode();
-    benchmark::DoNotOptimize(core::RbMsg::decode(buf));
+    benchmark::DoNotOptimize(ext::RbMsg::decode(buf));
   }
 }
 BENCHMARK(BM_EncodeDecodeRbMsg);
@@ -254,21 +254,6 @@ void BM_BitopsFillWords(benchmark::State& state) {
                           static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_BitopsFillWords)->Arg(16)->Arg(1024)->Arg(65536);
-
-void BM_BitopsOrWords(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto src = random_words(count);
-  core::bitops::AlignedVector<std::uint64_t> dst(count, 0);
-  for (auto _ : state) {
-    core::bitops::or_words(
-        std::span<std::uint64_t>(dst.data(), count),
-        std::span<const std::uint64_t>(src.data(), count));
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_BitopsOrWords)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_BitopsForEachSetBit(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));

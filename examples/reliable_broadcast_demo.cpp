@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "core/reliable_broadcast.hpp"
+#include "extensions/reliable_broadcast.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -23,7 +23,7 @@ class TwoFacedSender final : public sim::Process {
   void on_start(sim::Context& ctx) override {
     for (ProcessId q = 0; q < ctx.n(); ++q) {
       const Value v = q < ctx.n() / 2 ? Value::zero : Value::one;
-      ctx.send(q, core::RbMsg{.kind = core::RbMsg::Kind::initial, .value = v}
+      ctx.send(q, ext::RbMsg{.kind = ext::RbMsg::Kind::initial, .value = v}
                       .encode());
     }
   }
@@ -34,13 +34,13 @@ void run(bool sender_is_byzantine, std::uint64_t seed) {
   const std::uint32_t n = 7;
   const core::ConsensusParams params{n, 2};
   std::vector<std::unique_ptr<sim::Process>> procs;
-  std::vector<core::ReliableBroadcast*> correct;
+  std::vector<ext::ReliableBroadcast*> correct;
   for (ProcessId p = 0; p < n; ++p) {
     if (p == 0 && sender_is_byzantine) {
       procs.push_back(std::make_unique<TwoFacedSender>());
       continue;
     }
-    auto rb = core::ReliableBroadcast::make(params, p, /*sender=*/0,
+    auto rb = ext::ReliableBroadcast::make(params, p, /*sender=*/0,
                                             Value::one);
     correct.push_back(rb.get());
     procs.push_back(std::move(rb));

@@ -45,7 +45,7 @@ namespace detail {
 
 /// Marks a function noexcept in release builds only — for hot-path
 /// operations whose debug builds carry a throwing RCP_EXPECT guard that
-/// release builds compile out (e.g. ProcessSet::add).
+/// release builds compile out (e.g. EchoEngine::echo_dedup_size).
 #ifdef NDEBUG
 #define RCP_RELEASE_NOEXCEPT noexcept
 #else

@@ -18,8 +18,6 @@ void fill_words_avx2(std::uint64_t* words, std::size_t count,
                      std::uint64_t value) noexcept;
 void copy_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
                      std::size_t count) noexcept;
-void or_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t count) noexcept;
 bool avx2_runtime_supported() noexcept;
 #endif
 
@@ -35,7 +33,6 @@ struct Dispatch {
       table.popcount = &popcount_words_avx2;
       table.fill = &fill_words_avx2;
       table.copy = &copy_words_avx2;
-      table.bit_or = &or_words_avx2;
       backend = Backend::avx2;
     }
 #endif

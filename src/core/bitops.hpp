@@ -1,5 +1,5 @@
 // Word-parallel bit-span kernels: the data-parallel substrate under the
-// quorum primitives (ProcessSet, BitRows) and the echo tally tables.
+// quorum primitive (BitRows) and the echo tally tables.
 //
 // The malicious-case hot path is, at scale, pure bit-set arithmetic —
 // dedup bitmaps of distinct echoers, bulk popcounts for live-entry
@@ -77,14 +77,6 @@ inline void copy_words(std::uint64_t* dst, const std::uint64_t* src,
   }
 }
 
-/// dst |= src, word-wise: the set-union / masked-accumulate primitive.
-inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t count) noexcept {
-  for (std::size_t i = 0; i < count; ++i) {
-    dst[i] |= src[i];
-  }
-}
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -102,8 +94,6 @@ struct KernelTable {
       &scalar::fill_words;
   void (*copy)(std::uint64_t*, const std::uint64_t*, std::size_t) noexcept =
       &scalar::copy_words;
-  void (*bit_or)(std::uint64_t*, const std::uint64_t*, std::size_t) noexcept =
-      &scalar::or_words;
 };
 
 extern const KernelTable& kernels() noexcept;
@@ -111,7 +101,7 @@ extern const KernelTable& kernels() noexcept;
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Dispatched span entry points — what ProcessSet / BitRows / the engines
+// Dispatched span entry points — what BitRows and the engines
 // call. Small spans take the inline scalar path (see kInlineWords).
 
 /// Total set bits across `words`.
@@ -141,16 +131,6 @@ inline void copy_words(std::span<std::uint64_t> dst,
     return;
   }
   detail::kernels().copy(dst.data(), src.data(), src.size());
-}
-
-/// dst |= src, word-wise (sizes must match; non-overlapping).
-inline void or_words(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  if (src.size() <= kInlineWords) {
-    scalar::or_words(dst.data(), src.data(), src.size());
-    return;
-  }
-  detail::kernels().bit_or(dst.data(), src.data(), src.size());
 }
 
 /// Calls `fn(bit_index)` for every set bit of `words`, ascending. The

@@ -4,7 +4,7 @@
 // is bit-identical to the scalar reference kernels in core/bitops.hpp:
 // same sums, same stores, different width. Selection happens at process
 // start via CPUID (bitops.cpp); this file intentionally has no header —
-// bitops.cpp forward-declares these four entry points.
+// bitops.cpp forward-declares these entry points.
 //
 // The popcount uses the Mula nibble-LUT method: per-byte popcounts via two
 // PSHUFB table lookups, horizontally summed into 64-bit lanes with PSADBW.
@@ -72,22 +72,6 @@ void copy_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
   }
   for (; i < count; ++i) {
     dst[i] = src[i];
-  }
-}
-
-void or_words_avx2(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t count) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < count; ++i) {
-    dst[i] |= src[i];
   }
 }
 

@@ -1,27 +1,24 @@
-// Flat, bit-level quorum accounting primitives for the Byzantine hot path.
+// Flat, bit-level quorum accounting for the Byzantine hot path.
 //
 // The malicious-case protocols count *distinct* processes: distinct echoers
-// per (origin, phase) in Figure 2, distinct echo/ready senders per value in
-// reliable broadcast. Process ids are dense in [0, n), so each such set is
-// exactly an n-bit bitset — one cache line up to n = 512 — and membership,
-// insertion and cardinality are single-word operations instead of red-black
-// tree walks. These two containers are the whole vocabulary:
+// per (origin, phase) in Figure 2, distinct echo/ready voters per instance
+// in reliable broadcast. Process ids are dense in [0, n), so each such set is
+// exactly an n-bit bitset — one cache line up to n = 512 — and membership
+// and insertion are single-word operations instead of red-black tree walks.
+// One container is the whole vocabulary:
 //
-//  - ProcessSet: one n-capacity set of process ids with an incrementally
-//    maintained cardinality (replaces std::set<ProcessId> quorums).
-//  - BitRows: a rows x bits matrix in one flat allocation, row = one echoer
-//    set (replaces std::set<(echoer, origin, phase)> dedup sets; the row
-//    index encodes (phase-window slot, origin)).
+//  - BitRows: a rows x bits matrix in one flat allocation, row = one voter
+//    set (replaces std::set<(echoer, origin, phase)> dedup sets). EchoEngine
+//    indexes rows by (phase-window slot, origin), RbEngine by instance slot.
 //
 // Per-bit operations stay single-word and inline; every bulk operation —
-// row-span clears, bulk popcounts, cross-matrix copies, set union and
-// enumeration — goes through the word-parallel kernels in core/bitops.hpp,
-// which dispatch to the AVX2 backend when available (bit-identical either
-// way). Both containers allocate exactly once, at construction; every
-// subsequent operation is allocation-free, which is what lets the hot-alloc
-// lint rule and the operator-new counting tests cover the whole echo path.
-// Layout details: docs/PERF.md ("Quorum accounting", "Word-parallel
-// kernels").
+// row-span clears, bulk popcounts, cross-matrix copies — goes through the
+// word-parallel kernels in core/bitops.hpp, which dispatch to the AVX2
+// backend when available (bit-identical either way). The matrix allocates
+// exactly once, at construction; every subsequent operation is
+// allocation-free, which is what lets the hot-alloc lint rule and the
+// operator-new counting tests cover the whole echo path. Layout details:
+// docs/PERF.md ("Quorum accounting", "Word-parallel kernels").
 #pragma once
 
 #include <cstddef>
@@ -30,78 +27,9 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/types.hpp"
 #include "core/bitops.hpp"
 
 namespace rcp::core {
-
-/// A fixed-capacity set of process ids backed by bit words, with O(1)
-/// membership, insertion, and cardinality. Capacity is set once at
-/// construction; ids must lie in [0, capacity).
-class ProcessSet {
- public:
-  ProcessSet() = default;
-  explicit ProcessSet(std::uint32_t capacity)
-      : words_((capacity + 63) / 64, 0) {}
-
-  /// Inserts `id`; returns true when it was not already present.
-  bool add(ProcessId id) RCP_RELEASE_NOEXCEPT {
-#ifndef NDEBUG
-    // Debug builds fail loudly on an out-of-capacity id (a caller-side
-    // layout bug); release builds keep the unchecked single-word fast path.
-    RCP_EXPECT((id >> 6) < words_.size(), "ProcessSet id within capacity");
-#endif
-    std::uint64_t& w = words_[id >> 6];
-    const std::uint64_t bit = 1ULL << (id & 63);
-    if ((w & bit) != 0) {
-      return false;
-    }
-    w |= bit;
-    ++size_;
-    return true;
-  }
-
-  [[nodiscard]] bool contains(ProcessId id) const noexcept {
-    return (words_[id >> 6] & (1ULL << (id & 63))) != 0;
-  }
-
-  /// Number of ids present (maintained incrementally, no popcount scan).
-  [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
-
-  void clear() noexcept {
-    bitops::fill_words(std::span<std::uint64_t>(words_), 0);
-    size_ = 0;
-  }
-
-  /// Set union: adds every id of `other` (same capacity required). One
-  /// word-parallel OR sweep plus one bulk popcount for the cardinality.
-  void merge(const ProcessSet& other) {
-    RCP_EXPECT(other.words_.size() == words_.size(),
-               "ProcessSet merge requires matching capacity");
-    bitops::or_words(std::span<std::uint64_t>(words_),
-                     std::span<const std::uint64_t>(other.words_));
-    size_ = static_cast<std::uint32_t>(
-        bitops::popcount_words(std::span<const std::uint64_t>(words_)));
-  }
-
-  /// Calls `fn(id)` for every member, ascending.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    bitops::for_each_set_bit(
-        std::span<const std::uint64_t>(words_), [&fn](std::size_t bit) {
-          fn(static_cast<ProcessId>(bit));
-        });
-  }
-
-  /// The raw bit words (test / kernel-equivalence observer).
-  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
-    return words_;
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-  std::uint32_t size_ = 0;
-};
 
 /// A rows x bits bit matrix in a single flat allocation. Row r is an
 /// independent bit set of `bits` capacity; rows are contiguous, so a span

@@ -76,6 +76,9 @@ bool ProposalRb::is_proposal_msg(const Bytes& payload) {
 ProposalRb::Outcome ProposalRb::handle(ProcessId sender, const Bytes& payload) {
   Outcome out;
   const PropMsg msg = decode_prop(payload);
+  if (msg.origin >= params_.n) {
+    return out;  // Byzantine wire field: no such process, no instance
+  }
   Instance& inst = instances_[msg.origin];
   switch (msg.kind) {
     case kPropInitial: {

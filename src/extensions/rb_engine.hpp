@@ -1,11 +1,13 @@
 // Multiplexed reliable broadcast: many concurrent Bracha-broadcast
 // instances over one message stream.
 //
-// The single-shot core/reliable_broadcast.hpp demonstrates the primitive;
-// real protocols (like the 1987 Bracha consensus built on top of it in
-// extensions/bracha87.hpp) need one instance per (origin, tag) — e.g. per
-// sender per round per sub-round — and the replicated KV service
-// (src/service/) runs one instance per client write. The engine owns all
+// This is the repo's one implementation of Bracha's broadcast. The
+// single-shot extensions/reliable_broadcast.hpp is one instance of it
+// (origin = designated sender, tag = 0); real protocols (like the 1987
+// Bracha consensus built on top of it in extensions/bracha87.hpp) need one
+// instance per (origin, tag) — e.g. per sender per round per sub-round —
+// and the replicated KV service (src/service/) runs one instance per
+// client write. The engine owns all
 // per-instance state: echo/ready tallies with per-sender vote gating, the
 // sent-echo/-ready flags, and delivery. For k <= floor((n-1)/3) each
 // instance guarantees:

@@ -68,18 +68,6 @@ TEST(Bitops, CopyRoundTrip) {
   }
 }
 
-TEST(Bitops, OrAccumulates) {
-  for (const std::size_t len : kSpanLengths) {
-    const auto a = random_words(len, 0x3003 + len);
-    const auto b = random_words(len, 0x4004 + len);
-    std::vector<std::uint64_t> dst = a;
-    or_words(std::span<std::uint64_t>(dst), std::span<const std::uint64_t>(b));
-    for (std::size_t i = 0; i < len; ++i) {
-      EXPECT_EQ(dst[i], a[i] | b[i]) << "len=" << len << " word=" << i;
-    }
-  }
-}
-
 TEST(Bitops, ForEachSetBitEnumeratesAscending) {
   for (const std::size_t len : kSpanLengths) {
     const auto words = random_words(len, 0x5005 + len);
@@ -168,19 +156,6 @@ TEST_F(BitopsAvx2Equivalence, CopyMatchesScalar) {
     copy_words(std::span<std::uint64_t>(via_dispatch),
                std::span<const std::uint64_t>(src));
     scalar::copy_words(via_scalar.data(), src.data(), src.size());
-    EXPECT_EQ(via_dispatch, via_scalar) << "len=" << len;
-  }
-}
-
-TEST_F(BitopsAvx2Equivalence, OrMatchesScalar) {
-  for (const std::size_t len : kSpanLengths) {
-    const auto base = random_words(len, 0x7007 + len);
-    const auto mask = random_words(len, 0x8008 + len);
-    std::vector<std::uint64_t> via_dispatch = base;
-    std::vector<std::uint64_t> via_scalar = base;
-    or_words(std::span<std::uint64_t>(via_dispatch),
-             std::span<const std::uint64_t>(mask));
-    scalar::or_words(via_scalar.data(), mask.data(), mask.size());
     EXPECT_EQ(via_dispatch, via_scalar) << "len=" << len;
   }
 }

@@ -1,19 +1,15 @@
 // The allocation contract of the Byzantine echo path (docs/PERF.md "Quorum
-// accounting"): once warm, EchoEngine::handle()/advance() and a
-// ReliableBroadcast message perform zero heap allocations, and a running
-// MaliciousConsensus simulation steps allocation-free. The covered source
-// files are listed under [allocation] in tools/lint_rules.toml, so any new
-// allocation fails the build (rcp-lint) *and* this counter.
+// accounting"): once warm, EchoEngine::handle()/advance() performs zero
+// heap allocations, and a running MaliciousConsensus simulation steps
+// allocation-free. The covered source files are listed under [allocation]
+// in tools/lint_rules.toml, so any new allocation fails the build
+// (rcp-lint) *and* this counter.
 //
-// The binary-wide operator new override counts every allocation; each test
-// snapshots before/after deltas. (Same instrument as
-// tests/sim/allocation_test.cpp, which lives in a different test binary.)
+// support/allocation_counter.hpp counts every allocation binary-wide; each
+// test snapshots before/after deltas.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "adversary/scenario.hpp"
@@ -21,28 +17,8 @@
 #include "core/echo_engine.hpp"
 #include "core/malicious.hpp"
 #include "core/messages.hpp"
-#include "core/reliable_broadcast.hpp"
 #include "sim/simulation.hpp"
-#include "support/fake_context.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/allocation_counter.hpp"
 
 namespace rcp {
 namespace {
@@ -78,46 +54,12 @@ TEST(EchoAllocation, EchoEngineSteadyStateIsAllocationFree) {
   for (; t < 4; ++t) {
     drive_phase(e, kN, t);  // warm: rings and replay buffer reach capacity
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   for (; t < 40; ++t) {
     drive_phase(e, kN, t);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::allocations() - before, 0u)
       << "warm handle()/advance() must not touch the heap";
-}
-
-TEST(EchoAllocation, ReliableBroadcastMessageHandlingIsAllocationFree) {
-  constexpr std::uint32_t kN = 31;
-  constexpr std::uint32_t kK = 3;
-  test::FakeContext ctx(/*self=*/1, kN);
-  auto rb = core::ReliableBroadcast::make({kN, kK}, 1, /*sender=*/0);
-  // The test harness's outbox is the only allocating container in the loop;
-  // give it its capacity up front so the measured path is pure protocol.
-  ctx.sent.reserve(8 * kN);
-  const std::uint64_t before = g_allocations.load();
-  // Full happy path: initial -> echo quorum -> ready amplification ->
-  // delivery. Every insert lands in a flat ProcessSet; every payload fits
-  // the inline Bytes capacity.
-  rb->on_message(ctx, test::FakeContext::envelope(
-                          0, 1,
-                          core::RbMsg{.kind = core::RbMsg::Kind::initial,
-                                      .value = Value::one}
-                              .encode()));
-  for (ProcessId p = 0; p < kN; ++p) {
-    rb->on_message(ctx, test::FakeContext::envelope(
-                            p, 1,
-                            core::RbMsg{.kind = core::RbMsg::Kind::echo,
-                                        .value = Value::one}
-                                .encode()));
-    rb->on_message(ctx, test::FakeContext::envelope(
-                            p, 1,
-                            core::RbMsg{.kind = core::RbMsg::Kind::ready,
-                                        .value = Value::one}
-                                .encode()));
-  }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
-      << "reliable-broadcast message handling must not touch the heap";
-  EXPECT_EQ(rb->delivered(), Value::one);
 }
 
 TEST(EchoAllocation, MaliciousConsensusRunAllocatesOnlyCapacityGrowth) {
@@ -138,7 +80,7 @@ TEST(EchoAllocation, MaliciousConsensusRunAllocatesOnlyCapacityGrowth) {
   s.max_steps = 500000;
   auto sim = adversary::build(s);
   sim->start();
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   const std::uint64_t payload_before = Payload::heap_allocation_count();
   const auto r = sim->run();
   EXPECT_EQ(r.status, sim::RunStatus::all_decided);
@@ -149,7 +91,7 @@ TEST(EchoAllocation, MaliciousConsensusRunAllocatesOnlyCapacityGrowth) {
   // Measured: 47 capacity-growth allocations for 1348 delivered messages.
   // The bound leaves headroom for stdlib growth-policy differences while
   // still catching any per-message allocation (which would add 1000+).
-  EXPECT_LE(g_allocations.load() - before, 200u)
+  EXPECT_LE(test::allocations() - before, 200u)
       << "echo path must not allocate per message";
 #else
   // Debug builds run the simulator's O(n) incremental-state cross-check

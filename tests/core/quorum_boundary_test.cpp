@@ -20,24 +20,7 @@ EchoProtocolMsg echo(ProcessId origin, Value v, Phase t) {
 }
 
 // ---------------------------------------------------------------------------
-// ProcessSet / BitRows primitives.
-
-TEST(ProcessSet, AddContainsSizeClear) {
-  ProcessSet s(130);  // spans three 64-bit words
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_TRUE(s.add(0));
-  EXPECT_TRUE(s.add(63));
-  EXPECT_TRUE(s.add(64));
-  EXPECT_TRUE(s.add(129));
-  EXPECT_FALSE(s.add(64));  // duplicate
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_TRUE(s.contains(129));
-  EXPECT_FALSE(s.contains(128));
-  s.clear();
-  EXPECT_EQ(s.size(), 0u);
-  EXPECT_FALSE(s.contains(0));
-  EXPECT_TRUE(s.add(0));  // reusable after clear
-}
+// BitRows primitive.
 
 TEST(BitRows, RowsAreIndependentAndClearable) {
   BitRows m(6, 70);  // two words per row

@@ -1,10 +1,9 @@
-// Word-boundary edges of the quorum primitives: n one below, at, and one
-// above the 64-bit word boundaries (one-word and eight-word sets). Every
-// bulk operation in core/quorum.hpp now runs on the word-parallel kernels,
+// Word-boundary edges of the quorum primitive: n one below, at, and one
+// above the 64-bit word boundaries (one-word and eight-word rows). Every
+// bulk operation in core/quorum.hpp runs on the word-parallel kernels,
 // so these sizes are exactly where a words-per-row or tail-handling bug
-// would land. Also pins the layout guards: BitRows::copy_rows_from rejects
-// mismatched geometry outright, and ProcessSet::add rejects
-// out-of-capacity ids in debug builds.
+// would land. Also pins the layout guard: BitRows::copy_rows_from rejects
+// mismatched geometry outright.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,59 +18,6 @@ namespace {
 
 /// One below, at, and above the one-word and eight-word bit boundaries.
 const std::vector<std::uint32_t> kBoundaryN = {63, 64, 65, 511, 512, 513};
-
-TEST(QuorumWordEdge, ProcessSetRoundTripAtWordBoundaries) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet s(n);
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_FALSE(s.contains(id)) << "n=" << n << " id=" << id;
-      EXPECT_TRUE(s.add(id)) << "n=" << n << " id=" << id;
-      EXPECT_FALSE(s.add(id)) << "n=" << n << " id=" << id;  // duplicate
-      EXPECT_TRUE(s.contains(id)) << "n=" << n << " id=" << id;
-      EXPECT_EQ(s.size(), id + 1) << "n=" << n;
-    }
-    s.clear();
-    EXPECT_EQ(s.size(), 0u) << "n=" << n;
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_FALSE(s.contains(id)) << "n=" << n << " id=" << id;
-    }
-    // Reusable after the kernel-backed clear.
-    EXPECT_TRUE(s.add(n - 1)) << "n=" << n;
-    EXPECT_EQ(s.size(), 1u) << "n=" << n;
-  }
-}
-
-TEST(QuorumWordEdge, ProcessSetMergeUnionsAndRecounts) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet even(n);
-    ProcessSet odd(n);
-    for (ProcessId id = 0; id < n; ++id) {
-      (void)(id % 2 == 0 ? even.add(id) : odd.add(id));
-    }
-    // Overlap: the last id in both, so the union is not just a sum.
-    (void)even.add(n - 1);
-    (void)odd.add(n - 1);
-    even.merge(odd);
-    EXPECT_EQ(even.size(), n) << "n=" << n;
-    for (ProcessId id = 0; id < n; ++id) {
-      EXPECT_TRUE(even.contains(id)) << "n=" << n << " id=" << id;
-    }
-  }
-}
-
-TEST(QuorumWordEdge, ProcessSetForEachEnumeratesMembersAscending) {
-  for (const std::uint32_t n : kBoundaryN) {
-    ProcessSet s(n);
-    std::vector<ProcessId> expected;
-    for (ProcessId id = 0; id < n; id += 7) {
-      (void)s.add(id);
-      expected.push_back(id);
-    }
-    std::vector<ProcessId> seen;
-    s.for_each([&seen](ProcessId id) { seen.push_back(id); });
-    EXPECT_EQ(seen, expected) << "n=" << n;
-  }
-}
 
 TEST(QuorumWordEdge, BitRowsRoundTripAtWordBoundaries) {
   for (const std::uint32_t n : kBoundaryN) {
@@ -141,16 +87,6 @@ TEST(QuorumWordEdge, CopyRowsFromRejectsMismatchedGeometry) {
   big.copy_rows_from(small, 2);
   small.copy_rows_from(big, 2);
 }
-
-#ifndef NDEBUG
-TEST(QuorumWordEdge, ProcessSetAddGuardsCapacityInDebugBuilds) {
-  ProcessSet s(64);  // exactly one word
-  EXPECT_TRUE(s.add(63));
-  EXPECT_THROW((void)s.add(64), PreconditionError);
-  EXPECT_THROW((void)s.add(1000), PreconditionError);
-  EXPECT_EQ(s.size(), 1u);
-}
-#endif
 
 }  // namespace
 }  // namespace rcp::core

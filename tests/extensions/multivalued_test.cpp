@@ -207,5 +207,21 @@ TEST(ProposalRbUnit, EchoOncePerEchoerEvenAcrossVersions) {
   EXPECT_TRUE(ready_seen);
 }
 
+TEST(ProposalRbUnit, OriginOutsideProcessSpaceIsDropped) {
+  constexpr core::ConsensusParams kParams{7, 2};
+  ProposalRb rb(kParams);
+  // 2k+1 distinct readies would deliver for a real origin; origin n names
+  // no process, so none of them may create an instance or deliver.
+  Bytes ready = ProposalRb::encode_initial(kParams.n, bytes_of("ghost"));
+  ready[0] = std::byte{52};  // rewrite tag: initial -> ready
+  for (ProcessId p = 0; p < kParams.ready_delivery_threshold(); ++p) {
+    const auto out = rb.handle(p, ready);
+    EXPECT_TRUE(out.to_broadcast.empty());
+    EXPECT_FALSE(out.delivered.has_value());
+  }
+  EXPECT_FALSE(rb.delivered(kParams.n).has_value());
+  EXPECT_EQ(rb.delivered_count(), 0u);
+}
+
 }  // namespace
 }  // namespace rcp

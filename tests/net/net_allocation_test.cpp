@@ -7,41 +7,18 @@
 // Bytes capacity. The same holds for self-sends: a warm Node delivers its
 // local inbox without allocating.
 //
-// The binary-wide operator new override counts every allocation; each test
-// snapshots before/after deltas. (Same instrument as
-// tests/core/echo_allocation_test.cpp, which lives in a different test
-// binary.)
+// support/allocation_counter.hpp counts every allocation binary-wide; each
+// test snapshots before/after deltas.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "common/payload.hpp"
 #include "common/process.hpp"
 #include "net/node.hpp"
 #include "net/peer.hpp"
 #include "net/stats.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/allocation_counter.hpp"
 
 namespace rcp::net {
 namespace {
@@ -91,12 +68,12 @@ TEST(NetAllocation, SendPathSteadyStateIsAllocationFree) {
   for (int round = 0; round < 4; ++round) {
     drive_round(link, plan, hist, acked, /*partial_writes=*/false);
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   const std::uint64_t payload_before = Payload::heap_allocation_count();
   for (int round = 0; round < 100; ++round) {
     drive_round(link, plan, hist, acked, /*partial_writes=*/false);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::allocations() - before, 0u)
       << "warm enqueue/build/commit/ack must not touch the heap";
   EXPECT_EQ(Payload::heap_allocation_count() - payload_before, 0u)
       << "protocol-sized payloads must stay inline";
@@ -113,11 +90,11 @@ TEST(NetAllocation, PartialWriteSpillSteadyStateIsAllocationFree) {
   for (int round = 0; round < 4; ++round) {
     drive_round(link, plan, hist, acked, /*partial_writes=*/true);
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   for (int round = 0; round < 100; ++round) {
     drive_round(link, plan, hist, acked, /*partial_writes=*/true);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::allocations() - before, 0u)
       << "short-write spill and resume must not touch the heap";
 }
 
@@ -134,7 +111,7 @@ TEST(NetAllocation, RetransmitRewindIsAllocationFree) {
   for (std::uint32_t i = 0; i < kBatch; ++i) {
     ASSERT_TRUE(link.enqueue(small_payload(i), now, kNoBound, now));
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   // Go-back-N: send the window, rewind as the drop timer would, resend,
   // ack.
   for (int round = 0; round < 50; ++round) {
@@ -146,7 +123,7 @@ TEST(NetAllocation, RetransmitRewindIsAllocationFree) {
   (void)plan.commit(link, plan.total_bytes());
   acked += kBatch;
   link.on_ack(acked, now, &hist);
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::allocations() - before, 0u)
       << "rewind and retransmission must not touch the heap";
   EXPECT_EQ(link.queue_depth(), 0u);
 }
@@ -172,10 +149,10 @@ class SelfLoopProcess final : public sim::Process {
   void on_message(sim::Context& ctx, const sim::Envelope& env) override {
     ++delivered;
     if (delivered == kWarm) {
-      before_ = g_allocations.load();
+      before_ = test::allocations();
     }
     if (delivered == kWarm + kMeasured) {
-      allocations = g_allocations.load() - before_;
+      allocations = test::allocations() - before_;
       node->request_stop();
       return;
     }

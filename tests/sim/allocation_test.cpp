@@ -3,40 +3,20 @@
 // protocol messages that fit Payload's inline capacity.
 //
 // Two instruments: Payload::heap_allocation_count() counts payload heap
-// spills specifically, and a test-binary-wide operator new override counts
-// every allocation, which pins down the whole step path (mailboxes,
-// eligible set, envelopes) — not just payloads.
+// spills specifically, and the binary-wide operator new replacement of
+// support/allocation_counter.hpp counts every allocation, which pins down
+// the whole step path (mailboxes, eligible set, envelopes) — not just
+// payloads.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "common/payload.hpp"
 #include "core/failstop.hpp"
 #include "core/messages.hpp"
 #include "sim/simulation.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/allocation_counter.hpp"
 
 namespace rcp {
 namespace {
@@ -66,13 +46,13 @@ TEST(Allocation, SteadyStateStepIsAllocationFree) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(s.step());
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocations();
   const std::uint64_t payload_before = Payload::heap_allocation_count();
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(s.step());
   }
 #ifdef NDEBUG
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::allocations() - before, 0u)
       << "warm step() path must not touch the heap";
 #else
   // Debug builds run the O(n) incremental-state cross-check each step,

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "adversary/scenario.hpp"
-#include "core/reliable_broadcast.hpp"
+#include "extensions/reliable_broadcast.hpp"
 #include "sim/replay.hpp"
 #include "sim/simulation.hpp"
 #include "sim/trace.hpp"
@@ -93,7 +93,7 @@ class TwoFacedRbSender final : public sim::Process {
     for (ProcessId q = 0; q < ctx.n(); ++q) {
       const Value v = q < ctx.n() / 2 ? Value::zero : Value::one;
       ctx.send(q,
-               core::RbMsg{.kind = core::RbMsg::Kind::initial, .value = v}
+               ext::RbMsg{.kind = ext::RbMsg::Kind::initial, .value = v}
                    .encode());
     }
   }
@@ -161,7 +161,7 @@ TEST(TraceDigest, ReliableBroadcastTwoFacedSenderMatchesPreFlatQuorumRun) {
     if (p == 0) {
       procs.push_back(std::make_unique<TwoFacedRbSender>());
     } else {
-      procs.push_back(core::ReliableBroadcast::make({kN, 2}, p, 0));
+      procs.push_back(ext::ReliableBroadcast::make({kN, 2}, p, 0));
     }
   }
   sim::Simulation sim(sim::SimConfig{.n = kN, .seed = 9001,
@@ -184,7 +184,7 @@ TEST(TraceDigest, ReliableBroadcastCorrectSenderMatchesPreFlatQuorumRun) {
   std::vector<std::unique_ptr<sim::Process>> procs;
   for (ProcessId p = 0; p < kN; ++p) {
     procs.push_back(
-        core::ReliableBroadcast::make({kN, 3}, p, /*sender=*/9, Value::one));
+        ext::ReliableBroadcast::make({kN, 3}, p, /*sender=*/9, Value::one));
   }
   sim::Simulation sim(sim::SimConfig{.n = kN, .seed = 4242,
                                      .max_steps = 500000},
