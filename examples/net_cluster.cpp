@@ -418,38 +418,10 @@ int run_sweep(const Options& opt) {
 /// One forked node: run until decided (correct) or stopped, then report
 /// through the exit code — 10 + value for a decision, 0 for a faulty node
 /// that was terminated as planned, 1 for a correct node that never decided.
-int run_fork_child(const Options& opt, const Plan& plan, ProcessId id) {
-  net::NodeConfig nc;
-  nc.id = id;
-  nc.n = opt.n;
-  nc.listen_port = static_cast<std::uint16_t>(opt.base_port + id);
-  nc.seed = opt.seed;
-  nc.faults.link.drop_probability = opt.drop;
-  nc.faults.link.delay_min_ms = opt.delay_min;
-  nc.faults.link.delay_max_ms = opt.delay_max;
-  for (const auto& [node, event] : opt.disconnects) {
-    if (node == id) {
-      nc.faults.disconnects.push_back(event);
-    }
-  }
-  bool correct = true;
-  for (const auto& [node, phase] : opt.crashes) {
-    if (node == id) {
-      nc.crash_at_phase = phase;
-      correct = false;
-    }
-  }
-  for (const ProcessId b : plan.byzantine_ids) {
-    if (b == id) {
-      correct = false;
-    }
-  }
-  for (ProcessId p = 0; p < opt.n; ++p) {
-    nc.peers.push_back(net::PeerAddress{
-        "127.0.0.1", static_cast<std::uint16_t>(opt.base_port + p)});
-  }
-
-  net::Node node(nc, make_process(opt, plan, id));
+int run_fork_child(const Options& opt, const Plan& plan,
+                   const net::ClusterConfig& cfg, bool correct,
+                   ProcessId id) {
+  net::Node node(net::node_config(cfg, id), make_process(opt, plan, id));
   std::thread runner([&node] { node.run(); });
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opt.timeout_ms);
@@ -482,15 +454,9 @@ int run_fork_child(const Options& opt, const Plan& plan, ProcessId id) {
 }
 
 int run_fork_mode(const Options& opt, const Plan& plan) {
+  const net::ClusterConfig cfg = cluster_config(opt, plan);
+  const std::vector<bool> correct = net::correct_nodes(cfg);
   std::vector<pid_t> pids(opt.n, -1);
-  std::vector<bool> correct(opt.n, true);
-  for (const auto& [node, phase] : opt.crashes) {
-    (void)phase;
-    if (node < opt.n) correct[node] = false;
-  }
-  for (const ProcessId b : plan.byzantine_ids) {
-    correct[b] = false;
-  }
 
   for (ProcessId id = 0; id < opt.n; ++id) {
     const pid_t pid = fork();
@@ -499,7 +465,7 @@ int run_fork_mode(const Options& opt, const Plan& plan) {
       return 1;
     }
     if (pid == 0) {
-      _exit(run_fork_child(opt, plan, id));
+      _exit(run_fork_child(opt, plan, cfg, correct[id], id));
     }
     pids[id] = pid;
   }

@@ -81,7 +81,8 @@ bool BenOrConsensus::report_majority(std::uint32_t count) const noexcept {
 }
 
 std::uint32_t BenOrConsensus::decide_threshold() const noexcept {
-  return variant_ == BenOrVariant::crash ? params_.k + 1 : 2 * params_.k + 1;
+  return variant_ == BenOrVariant::crash ? params_.k + 1
+                                         : params_.ready_delivery_threshold();
 }
 
 std::uint32_t BenOrConsensus::adopt_threshold() const noexcept {

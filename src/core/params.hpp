@@ -77,7 +77,8 @@ struct ConsensusParams {
   }
 
   /// Bracha reliable broadcast: deliver once 2k+1 matching readies were
-  /// seen (at least k+1 correct readies survive any k crashes).
+  /// seen (at least k+1 correct readies survive any k crashes). The same
+  /// 2k+1 count is the decide rule of Bracha-87 and Byzantine Ben-Or.
   [[nodiscard]] constexpr std::uint32_t ready_delivery_threshold()
       const noexcept {
     return 2 * k + 1;

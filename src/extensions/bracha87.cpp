@@ -148,7 +148,7 @@ void Bracha87::try_advance(sim::Context& ctx) {
       const RbValue leader =
           c.proposal[1] > c.proposal[0] ? kRbValueOne : kRbValueZero;
       const std::uint32_t votes = c.proposal[leader];
-      if (votes > 2 * params_.k) {
+      if (votes >= params_.ready_delivery_threshold()) {
         value_ = value_from_int(leader);
         if (!decision_.has_value()) {
           decision_ = value_;

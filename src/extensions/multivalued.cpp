@@ -110,12 +110,13 @@ ProposalRb::Outcome ProposalRb::handle(ProcessId sender, const Bytes& payload) {
       }
       auto& from = inst.ready_from[body_key(msg.body)];
       from.insert(sender);
-      if (from.size() >= params_.k + 1 && !inst.ready_sent) {
+      if (from.size() >= params_.ready_amplification_threshold() &&
+          !inst.ready_sent) {
         inst.ready_sent = true;
         out.to_broadcast.push_back(encode_prop(PropMsg{
             .kind = kPropReady, .origin = msg.origin, .body = msg.body}));
       }
-      if (from.size() >= 2 * params_.k + 1 &&
+      if (from.size() >= params_.ready_delivery_threshold() &&
           delivered_.find(msg.origin) == delivered_.end()) {
         delivered_.emplace(msg.origin, msg.body);
         out.delivered = std::make_pair(msg.origin, msg.body);

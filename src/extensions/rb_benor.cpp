@@ -84,7 +84,7 @@ void RbBenOr::try_advance(sim::Context& ctx) {
     const RbValue leader =
         proposals[1] > proposals[0] ? kRbValueOne : kRbValueZero;
     const std::uint32_t leader_count = proposals[leader];
-    if (leader_count >= 2 * params_.k + 1) {
+    if (leader_count >= params_.ready_delivery_threshold()) {
       value_ = value_from_int(leader);
       if (!decision_.has_value()) {
         decision_ = value_;

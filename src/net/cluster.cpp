@@ -16,46 +16,57 @@ using std::chrono::steady_clock;
 
 }  // namespace
 
+NodeConfig node_config(const ClusterConfig& cfg, ProcessId id) {
+  NodeConfig nc;
+  nc.id = id;
+  nc.n = cfg.n;
+  nc.listen_host = cfg.host;
+  if (cfg.base_port != 0) {
+    nc.listen_port = static_cast<std::uint16_t>(cfg.base_port + id);
+    for (ProcessId p = 0; p < cfg.n; ++p) {
+      nc.peers.push_back(PeerAddress{
+          cfg.host, static_cast<std::uint16_t>(cfg.base_port + p)});
+    }
+  }
+  nc.seed = cfg.seed;
+  nc.limits = cfg.limits;
+  nc.faults.link = cfg.link_faults;
+  for (const auto& [node, event] : cfg.disconnects) {
+    if (node == id) {
+      nc.faults.disconnects.push_back(event);
+    }
+  }
+  for (const auto& [node, phase] : cfg.crashes) {
+    if (node == id) {
+      nc.crash_at_phase = phase;
+    }
+  }
+  return nc;
+}
+
+std::vector<bool> correct_nodes(const ClusterConfig& cfg) {
+  std::vector<bool> correct(cfg.n, true);
+  for (const ProcessId p : cfg.arbitrary_faulty) {
+    RCP_EXPECT(p < cfg.n, "arbitrary_faulty id outside [0, n)");
+    correct[p] = false;
+  }
+  for (const auto& crash : cfg.crashes) {
+    RCP_EXPECT(crash.first < cfg.n, "crash schedule id outside [0, n)");
+    correct[crash.first] = false;
+  }
+  return correct;
+}
+
 Cluster::Cluster(ClusterConfig cfg, const ProcessFactory& factory)
     : cfg_(std::move(cfg)) {
   RCP_EXPECT(cfg_.n >= 1, "cluster needs at least one node");
   RCP_EXPECT(static_cast<bool>(factory), "null process factory");
 
-  correct_.assign(cfg_.n, true);
-  for (const ProcessId p : cfg_.arbitrary_faulty) {
-    RCP_EXPECT(p < cfg_.n, "arbitrary_faulty id outside [0, n)");
-    correct_[p] = false;
-  }
-  for (const auto& [p, phase] : cfg_.crashes) {
-    RCP_EXPECT(p < cfg_.n, "crash schedule id outside [0, n)");
-    (void)phase;
-    correct_[p] = false;
-  }
-
+  correct_ = correct_nodes(cfg_);
   nodes_.reserve(cfg_.n);
   for (ProcessId id = 0; id < cfg_.n; ++id) {
-    NodeConfig nc;
-    nc.id = id;
-    nc.n = cfg_.n;
-    nc.listen_host = cfg_.host;
-    nc.listen_port =
-        cfg_.base_port == 0
-            ? std::uint16_t{0}
-            : static_cast<std::uint16_t>(cfg_.base_port + id);
-    nc.seed = cfg_.seed;
-    nc.limits = cfg_.limits;
-    nc.faults.link = cfg_.link_faults;
-    for (const auto& [node, event] : cfg_.disconnects) {
-      if (node == id) {
-        nc.faults.disconnects.push_back(event);
-      }
-    }
-    for (const auto& [node, phase] : cfg_.crashes) {
-      if (node == id) {
-        nc.crash_at_phase = phase;
-      }
-    }
-    nodes_.push_back(std::make_unique<Node>(nc, factory(id)));
+    nodes_.push_back(
+        std::make_unique<Node>(node_config(cfg_, id), factory(id)));
   }
 
   // A full mesh is ~n^2 sockets plus listeners and wake pipes; make sure
@@ -163,9 +174,6 @@ ClusterResult Cluster::run() {
       result.total_reconnects += pc.reconnects;
       result.total_retransmits += pc.retransmits;
       result.total_spurious_retransmits += pc.spurious_retransmits;
-      result.total_rewinds_reconnect += pc.rewinds_reconnect;
-      result.total_rewinds_gap += pc.rewinds_gap;
-      result.total_rewinds_drop_timer += pc.rewinds_drop_timer;
     }
 
     if (correct_[id]) {

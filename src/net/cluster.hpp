@@ -60,6 +60,17 @@ struct ClusterConfig {
   std::uint32_t loop_threads = 0;
 };
 
+/// The NodeConfig of node `id` in this cluster: its listen port, the
+/// shared seed, limits and link faults, and its own disconnect events and
+/// crash phase. With a base_port every address is known in advance, so
+/// the peer table is filled too: that is all a node running in its own
+/// OS process needs (examples/net_cluster --fork).
+[[nodiscard]] NodeConfig node_config(const ClusterConfig& cfg, ProcessId id);
+
+/// correct[p] is false iff node p hosts a Byzantine process or is
+/// scheduled to crash. Throws on an id outside [0, n).
+[[nodiscard]] std::vector<bool> correct_nodes(const ClusterConfig& cfg);
+
 struct NodeOutcome {
   ProcessId id = 0;
   bool correct = true;
@@ -83,9 +94,6 @@ struct ClusterResult {
   std::uint64_t total_reconnects = 0;
   std::uint64_t total_retransmits = 0;
   std::uint64_t total_spurious_retransmits = 0;
-  std::uint64_t total_rewinds_reconnect = 0;
-  std::uint64_t total_rewinds_gap = 0;
-  std::uint64_t total_rewinds_drop_timer = 0;
   std::vector<NodeOutcome> nodes;
 
   /// Decision + agreement both hold and no node loop errored.

@@ -26,16 +26,4 @@ std::uint32_t FaultInjector::delay_ms() {
       rng_.range(plan_.link.delay_min_ms, plan_.link.delay_max_ms));
 }
 
-std::vector<ProcessId> FaultInjector::due_disconnects(
-    std::uint64_t delivered) {
-  std::vector<ProcessId> due;
-  for (std::size_t i = 0; i < plan_.disconnects.size(); ++i) {
-    if (!fired_[i] && delivered >= plan_.disconnects[i].after_delivered) {
-      fired_[i] = true;
-      due.push_back(plan_.disconnects[i].peer);
-    }
-  }
-  return due;
-}
-
 }  // namespace rcp::net

@@ -1,9 +1,11 @@
 // Transport-level fault injection, mirroring the semantics of the
 // simulator's adversaries (src/adversary/) at the socket layer:
 //
-//   drop   — a data frame's transmission is skipped with probability p
-//            (like a lossy link; the ack/retransmit machinery recovers, so
-//            end-to-end delivery stays reliable — the paper's model);
+//   drop   — with probability p a data frame is held back kDropHoldMs
+//            longer, the time a lossy link's sender takes to notice the
+//            loss and resend. The frame is late, never lost, and every
+//            later frame waits behind it: delivery stays reliable and in
+//            order, as the paper's model requires;
 //   delay  — each outbound frame becomes eligible for transmission only
 //            after a uniform-random hold (the paper's "arbitrarily long
 //            transmission delay", bounded so runs terminate);
@@ -26,10 +28,14 @@
 
 namespace rcp::net {
 
+/// The time a sender takes to notice a loss and resend: what an injected
+/// drop adds to a frame's eligibility delay.
+inline constexpr std::uint32_t kDropHoldMs = 100;
+
 /// Link-level loss/latency knobs, applied to every peer of the node.
 struct LinkFaults {
-  /// Probability a data-frame transmission is skipped (recovered by
-  /// retransmission). 0 disables.
+  /// Probability a data frame is dropped, i.e. held kDropHoldMs extra.
+  /// 0 disables.
   double drop_probability = 0.0;
   /// Uniform per-frame eligibility delay in [min, max] milliseconds.
   std::uint32_t delay_min_ms = 0;
@@ -37,7 +43,8 @@ struct LinkFaults {
 };
 
 /// Force-close the link to `peer` when the node's delivered-message count
-/// reaches `after_delivered`. Fires once.
+/// reaches `after_delivered` (or, if the link is down then, once it is
+/// up). Fires once.
 struct DisconnectEvent {
   ProcessId peer = 0;
   std::uint64_t after_delivered = 0;
@@ -57,16 +64,26 @@ class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, std::uint64_t seed);
 
-  /// Should the next data-frame transmission be dropped?
+  /// Is the data frame enqueued now dropped (held kDropHoldMs extra)?
   [[nodiscard]] bool should_drop();
 
   /// Eligibility delay for a frame enqueued now, in milliseconds.
   [[nodiscard]] std::uint32_t delay_ms();
 
-  /// Peers whose disconnect events have matured at `delivered` messages.
-  /// Each event fires at most once.
-  [[nodiscard]] std::vector<ProcessId> due_disconnects(
-      std::uint64_t delivered);
+  /// Offers every unspent disconnect event that has matured at
+  /// `delivered` messages to `cut(peer)`, which returns whether it closed
+  /// a live link. Each event is spent by the first cut that does; until
+  /// then it waits for its link to come up, so an injected disconnect
+  /// always severs a connection rather than vanishing before one exists.
+  template <typename Cut>
+  void fire_due_disconnects(std::uint64_t delivered, Cut&& cut) {
+    for (std::size_t i = 0; i < plan_.disconnects.size(); ++i) {
+      if (!fired_[i] && delivered >= plan_.disconnects[i].after_delivered &&
+          cut(plan_.disconnects[i].peer)) {
+        fired_[i] = true;
+      }
+    }
+  }
 
  private:
   FaultPlan plan_;

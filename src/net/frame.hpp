@@ -12,8 +12,8 @@
 //            the paper's malicious model requires.
 //   data   — one protocol payload (the same bytes a sim::Process hands to
 //            Context::send), tagged with a per-link sequence number for the
-//            reliable-delivery machinery (dedupe after reconnect,
-//            go-back-N retransmission after injected drops).
+//            reliable-delivery machinery (go-back-N retransmission and
+//            dedupe after a reconnect).
 //   ack    — cumulative acknowledgement of a link's data stream; the
 //            sender retains frames until they are acked.
 //

@@ -244,7 +244,7 @@ void Node::loop_service(Clock::time_point now) {
     }
   }
 
-  // Flush sends generated by deliveries / retransmit rewinds, and
+  // Flush sends generated by deliveries and reconnect rewinds, and
   // recompute backpressure from the resulting queue depths.
   for (PeerLink& link : links_) {
     if (link.fd.valid()) {
@@ -271,7 +271,6 @@ int Node::loop_timeout_ms(Clock::time_point now) const {
       consider(link.next_dial_at);
     }
     consider(link.handshake_deadline);
-    consider(link.retransmit_deadline);
     if (link.state == PeerLink::State::established) {
       const auto eligible = link.next_eligible_at();
       if (eligible != Clock::time_point::max()) {
@@ -341,11 +340,17 @@ void Node::loop_finish() {
 // ---- Connection management --------------------------------------------
 
 void Node::apply_due_disconnects(Clock::time_point now) {
-  for (const ProcessId p : faults_.due_disconnects(stats_.msgs_delivered)) {
-    if (p < cfg_.n && p != cfg_.id && links_[p].fd.valid()) {
-      reset_link(links_[p], now);
+  faults_.fire_due_disconnects(stats_.msgs_delivered, [&](ProcessId p) {
+    assert_driving();  // lambda body escapes the enclosing REQUIRES
+    if (p >= cfg_.n || p == cfg_.id) {
+      return true;  // no such link, ever: spend the event
     }
-  }
+    if (links_[p].state != PeerLink::State::established) {
+      return false;  // not up yet: cut it once it is
+    }
+    reset_link(links_[p], now);
+    return true;
+  });
 }
 
 void Node::start_due_dials(Clock::time_point now) {
@@ -485,18 +490,16 @@ void Node::attach_pending(std::size_t index, ProcessId peer) {
 void Node::establish_link(PeerLink& link) {
   link.state = PeerLink::State::established;
   link.handshake_deadline = {};
-  link.retransmit_deadline = {};
   if (link.ever_connected) {
     ++link.counters.reconnects;
   }
   link.ever_connected = true;
   link.backoff_ms = 0;
-  link.stale_acks = 0;
   // Retransmit everything unacked: bytes in flight on the old connection
   // may be lost; the receiver's dedupe discards what did arrive. The
   // mirror image holds inbound: the peer rewinds too, so duplicates of
   // already-delivered seqs are expected, not spurious retransmits.
-  link.rewind_unsent(Rewind::reconnect);
+  link.rewind_unsent();
   link.expect_rewind_dups();
   if (link.delivered_seq() > 0) {
     // Tell the peer where our inbound stream stands so it can release
@@ -515,11 +518,9 @@ void Node::reset_link(PeerLink& link, Clock::time_point now) {
   link.write_off = 0;
   link.ack_pending = false;
   link.read_paused = false;
-  link.stale_acks = 0;
   link.ev_readable = false;
   link.ev_writable = false;
   link.handshake_deadline = {};
-  link.retransmit_deadline = {};
   link.state = PeerLink::State::idle;
   if (link.dialer()) {
     link.backoff_ms = link.backoff_ms == 0
@@ -619,32 +620,25 @@ void Node::process_link_input(PeerLink& link) {
       }
       case PeerLink::State::established: {
         switch (frame->type) {
-          case FrameType::data:
-            deliver_data(link, Frame(*frame));
-            break;
-          case FrameType::ack: {
-            const std::size_t before = link.queue_depth();
-            link.on_ack(frame->seq, now, &stats_.latency);
-            if (link.queue_depth() != before) {
-              // Ack progress disarms the drop timer once the peer has the
-              // dropped frame, and restarts it otherwise: the link is
-              // moving, only not yet past the hole.
-              link.stale_acks = 0;
-              link.retransmit_deadline =
-                  link.drop_unrepaired()
-                      ? now + milliseconds(cfg_.limits.retransmit_timeout_ms)
-                      : Clock::time_point{};
-            } else if (link.in_flight() && ++link.stale_acks >= 2) {
-              // Fast retransmit: the peer acks every arrival, so repeated
-              // acks with no progress mean it is discarding ahead-of-stream
-              // frames behind a loss. The rewind reschedules every dropped
-              // frame, so the drop timer has nothing left to wait for.
-              link.stale_acks = 0;
-              link.rewind_unsent(Rewind::gap);
-              link.retransmit_deadline = {};
+          case FrameType::data: {
+            const int order = link.classify_and_advance(frame->seq);
+            if (order > 0) {
+              // Ahead of the stream: a correct peer's stream has no holes
+              // (an injected drop only holds a frame), so this is input
+              // from outside the program. Reset; the reconnect rewind
+              // resends from the first unacked frame.
+              reset_link(link, now);
+              return;
+            }
+            link.ack_pending = true;  // dup and delivery both re-ack
+            if (order == 0) {
+              deliver_data(link, Frame(*frame));
             }
             break;
           }
+          case FrameType::ack:
+            link.on_ack(frame->seq, now, &stats_.latency);
+            break;
           case FrameType::hello:
             reset_link(link, now);  // handshake frames after establishment
             return;
@@ -662,11 +656,7 @@ void Node::process_link_input(PeerLink& link) {
   }
 }
 
-void Node::deliver_data(PeerLink& link, Frame&& frame) {
-  link.ack_pending = true;  // dup, gap and delivery all re-ack the stream
-  if (link.classify_and_advance(frame.seq) != 0) {
-    return;
-  }
+void Node::deliver_data(const PeerLink& link, Frame&& frame) {
   ++stats_.msgs_delivered;
   sim::Envelope env;
   env.sender = link.peer();  // handshake-authenticated, never payload bytes
@@ -728,16 +718,23 @@ void Node::send_from_process(ProcessId to, Bytes payload) {
   }
   PeerLink& link = links_[to];
   const auto now = Clock::now();
-  const std::uint32_t delay = faults_.delay_ms();
-  if (delay > 0) {
+  std::uint32_t hold = faults_.delay_ms();
+  if (hold > 0) {
     ++link.counters.delays_injected;
+  }
+  if (faults_.should_drop()) {
+    // A drop is a delay: the frame is held for as long as a lossy link's
+    // sender would take to notice and resend, and every later frame to
+    // this peer waits behind it, so the stream stays reliable and ordered.
+    hold += kDropHoldMs;
+    ++link.counters.drops_injected;
   }
   // At the queue bound the newest message is dropped (counted by the
   // link): the peer has been unable to drain for longer than the bound
   // covers, and to this sender it now behaves like a faulty process that
   // lost the message — which the protocols tolerate. The queued stream is
   // never cut, so delivery resumes seamlessly if the peer recovers.
-  (void)link.enqueue(std::move(payload), now + milliseconds(delay),
+  (void)link.enqueue(std::move(payload), now + milliseconds(hold),
                      cfg_.limits.max_queued_frames, now);
 }
 
@@ -771,17 +768,6 @@ void Node::check_timers(Clock::time_point now) {
         !is_unarmed(link.handshake_deadline) &&
         link.handshake_deadline <= now) {
       reset_link(link, now);
-      continue;
-    }
-    if (link.state == PeerLink::State::established &&
-        !is_unarmed(link.retransmit_deadline) &&
-        link.retransmit_deadline <= now) {
-      // A drop-injected frame went unrepaired for the whole timeout — a
-      // dropped tail has no successors to produce the no-progress acks
-      // that trigger a gap rewind. Go back to the first unacked frame; a
-      // re-drop during the resend arms the timer again.
-      link.rewind_unsent(Rewind::drop_timer);
-      link.retransmit_deadline = {};
     }
   }
 }
@@ -795,26 +781,10 @@ void Node::flush_link(PeerLink& link, Clock::time_point now) {
     return;  // known-blocked; wait for the kernel's writability edge
   }
   const bool frames = link.state == PeerLink::State::established;
-  const auto commit = [&](std::size_t written) {
-    if (plan_.commit(link, written) && is_unarmed(link.retransmit_deadline)) {
-      link.retransmit_deadline =
-          now + milliseconds(cfg_.limits.retransmit_timeout_ms);
-    }
-  };
   while (true) {
-    plan_.build(link, now, frames, [this] {
-      assert_driving();  // lambda body escapes the enclosing REQUIRES
-      return faults_.should_drop();
-    });
+    plan_.build(link, now, frames);
     if (plan_.empty()) {
       return;
-    }
-    if (plan_.iov_count() == 0) {
-      // Every candidate was drop-injected: nothing to write, but the
-      // cursor still advances (a gap rewind or the drop timer recovers
-      // them).
-      commit(0);
-      continue;
     }
     msghdr mh{};
     mh.msg_iov = plan_.iov();
@@ -825,15 +795,13 @@ void Node::flush_link(PeerLink& link, Clock::time_point now) {
         continue;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Leading drop-injected frames still advance; real bytes stay.
-        commit(0);
         link.ev_writable = false;
         return;
       }
       reset_link(link, now);
       return;
     }
-    commit(static_cast<std::size_t>(wrote));
+    plan_.commit(link, static_cast<std::size_t>(wrote));
     if (static_cast<std::size_t>(wrote) < plan_.total_bytes()) {
       // Short write: the kernel buffer filled mid-batch; the remainder of
       // the partial frame now sits in write_buf awaiting the next edge.

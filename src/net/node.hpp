@@ -16,8 +16,9 @@
 //     bytes: a Byzantine peer can lie inside the payload but cannot forge
 //     its id, exactly the simulator's guarantee;
 //   * "reliable, but ... arbitrary long transmission delay" — per-link
-//     sequence numbers, cumulative acks and go-back-N retransmission make
-//     delivery reliable across reconnects and injected drops; delivery
+//     sequence numbers, cumulative acks and a go-back-N rewind on
+//     reconnect make delivery reliable across connections; an injected
+//     drop only holds a frame back, like an injected delay. Delivery
 //     order across peers is whatever the sockets produce, which is the
 //     asynchrony the protocols are designed for;
 //   * atomic steps — the loop delivers one message at a time to the
@@ -65,10 +66,6 @@ struct NodeLimits {
   std::size_t max_queued_frames = 4096;
   /// Crossing this pauses reads from that peer (backpressure).
   std::size_t backpressure_high_water = 2048;
-  /// Drop timer: go-back-N rewind when a drop-injected frame is still
-  /// unacked this long after the drop (or after the last ack progress).
-  /// Nothing else arms it, so without drop injection it never fires.
-  std::uint32_t retransmit_timeout_ms = 100;
   /// Dial retry backoff: initial, doubling to the cap.
   std::uint32_t reconnect_initial_ms = 5;
   std::uint32_t reconnect_max_ms = 250;
@@ -212,7 +209,7 @@ class Node {
       RCP_REQUIRES(loop_affinity_);
   void flush_link(PeerLink& link, Clock::time_point now)
       RCP_REQUIRES(loop_affinity_);
-  void deliver_data(PeerLink& link, Frame&& frame)
+  void deliver_data(const PeerLink& link, Frame&& frame)
       RCP_REQUIRES(loop_affinity_);
   void deliver_local_once() RCP_REQUIRES(loop_affinity_);
   void send_from_process(ProcessId to, Bytes payload)

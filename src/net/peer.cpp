@@ -38,9 +38,6 @@ bool PeerLink::enqueue(Bytes payload, Clock::time_point eligible_at,
 
 void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
                       LatencyHistogram* latency) noexcept {
-  if (acked >= dropped_seq_) {
-    dropped_seq_ = 0;  // the peer has every dropped frame: nothing to repair
-  }
   while (!queue_.empty() && queue_[0].seq <= acked) {
     if (now != Clock::time_point{}) {
       const auto waited = now - queue_[0].enqueued_at;
@@ -63,28 +60,9 @@ void PeerLink::on_ack(std::uint64_t acked, Clock::time_point now,
   counters.queue_depth = queue_.size();
 }
 
-void PeerLink::rewind_unsent(Rewind cause) noexcept {
-  if (unsent_ > 0) {
-    counters.retransmits += unsent_;
-    switch (cause) {
-      case Rewind::reconnect:
-        ++counters.rewinds_reconnect;
-        break;
-      case Rewind::gap:
-        ++counters.rewinds_gap;
-        break;
-      case Rewind::drop_timer:
-        ++counters.rewinds_drop_timer;
-        break;
-    }
-  }
+void PeerLink::rewind_unsent() noexcept {
+  counters.retransmits += unsent_;
   unsent_ = 0;
-  dropped_seq_ = 0;
-}
-
-void PeerLink::note_dropped(std::uint64_t seq) noexcept {
-  ++counters.drops_injected;
-  dropped_seq_ = std::max(dropped_seq_, seq);
 }
 
 Clock::time_point PeerLink::next_eligible_at() const noexcept {
@@ -97,27 +75,24 @@ Clock::time_point PeerLink::next_eligible_at() const noexcept {
 int PeerLink::classify_and_advance(std::uint64_t seq) noexcept {
   if (seq < next_expected_) {
     ++counters.dup_frames;
-    if (!gap_since_delivery_ && !rewind_dups_expected_) {
-      // No loss episode and no reconnect explains this duplicate: the
-      // sender rewound frames this receiver already had.
+    if (!rewind_dups_expected_) {
+      // No reconnect explains this duplicate: the sender rewound frames
+      // this receiver already had.
       ++counters.spurious_retransmits;
     }
     return -1;
   }
   if (seq > next_expected_) {
     ++counters.gap_frames;
-    gap_since_delivery_ = true;  // a rewind is now genuinely needed
     return 1;
   }
   ++next_expected_;
   ++counters.msgs_in;
-  gap_since_delivery_ = false;
   rewind_dups_expected_ = false;
   return 0;
 }
 
-bool WritevPlan::commit(PeerLink& link, std::size_t written) const {
-  bool dropped = false;
+void WritevPlan::commit(PeerLink& link, std::size_t written) const {
   link.counters.bytes_out += written;
   std::size_t left = written;
 
@@ -129,22 +104,9 @@ bool WritevPlan::commit(PeerLink& link, std::size_t written) const {
     link.write_off = 0;
   }
 
-  for (std::size_t i = 0; i < frame_count_; ++i) {
-    const FrameSlot& fs = frames_[i];
-    if (fs.dropped) {
-      // A drop-injected frame "transmits" zero bytes; its fate does not
-      // depend on the kernel, only on every earlier frame having been
-      // consumed — which this in-order walk guarantees.
-      link.note_dropped(link.next_unsent().seq);
-      link.advance_unsent();
-      dropped = true;
-      continue;
-    }
-    if (left == 0) {
-      break;
-    }
-    if (left >= fs.bytes) {
-      left -= fs.bytes;
+  for (std::size_t i = 0; i < frame_count_ && left > 0; ++i) {
+    if (left >= frame_bytes_[i]) {
+      left -= frame_bytes_[i];
       link.advance_unsent();
       continue;
     }
@@ -172,7 +134,6 @@ bool WritevPlan::commit(PeerLink& link, std::size_t written) const {
     link.advance_unsent();
     break;
   }
-  return dropped;
 }
 
 }  // namespace rcp::net

@@ -2,21 +2,18 @@
 //
 // The paper's message system is "reliable but arbitrarily delayed". A live
 // TCP connection already is that channel; it loses frames only when it
-// dies (bytes in flight are gone) or when drop injection skips them. The
-// link therefore runs a thin reliability layer on top of the framed
-// stream that repairs exactly those two losses and guesses at nothing:
+// dies (bytes in flight are gone). Injected drops are holds, not holes
+// (net/fault.hpp). The link therefore runs a thin reliability layer on
+// top of the framed stream that repairs exactly that one loss and guesses
+// at nothing:
 //
 //   * every data frame carries a per-link sequence number, assigned at
 //     enqueue and retained until cumulatively acked by the receiver;
-//   * transmission rewinds to the first unacked frame (go-back-N) for one
-//     of three causes (Rewind): a reconnect, repeated no-progress acks
-//     (the receiver discards frames behind a hole), or a drop-injected
-//     frame still unacked after retransmit_timeout_ms (a dropped tail has
-//     no successors to produce those acks). The timer runs only while a
-//     drop-injected frame is unacked, so delay never triggers a resend;
+//   * a reconnect rewinds transmission to the first unacked frame
+//     (go-back-N); nothing else does, so delay never triggers a resend;
 //   * the receive side tracks next_expected and discards duplicates
-//     (possible after a rewind) and ahead-of-stream gaps (possible after
-//     an injected drop) — the sender's rewind fills the gap in order.
+//     (expected after a reconnect rewind). A seq ahead of the stream
+//     cannot come from a correct peer; the node resets the link on one.
 //
 // The outbound queue is bounded (NodeLimits::max_queued_frames). When a
 // peer cannot drain the queue — crashed and past reconnect, or flooding us
@@ -66,13 +63,6 @@ struct Outbound {
   Clock::time_point eligible_at{};
   /// When the sender queued it — the start of the latency measurement.
   Clock::time_point enqueued_at{};
-};
-
-/// Why a link went back to its first unacked frame.
-enum class Rewind : std::uint8_t {
-  reconnect,   ///< new connection: bytes in flight on the old one may be lost
-  gap,         ///< repeated no-progress acks: the peer discards behind a hole
-  drop_timer,  ///< a drop-injected frame stayed unacked for the timeout
 };
 
 /// Bounded-growth ring of Outbound frames. A deque would allocate a block
@@ -145,7 +135,8 @@ class PeerLink {
                              std::size_t max_queued,
                              Clock::time_point enqueued_at = {});
 
-  /// Is there a frame ready to transmit at `now`?
+  /// Is there a frame ready to transmit at `now`? Held frames (delay or
+  /// drop injection) block every later one: the stream stays in order.
   [[nodiscard]] bool transmittable(Clock::time_point now) const noexcept {
     return unsent_ < queue_.size() && queue_[unsent_].eligible_at <= now;
   }
@@ -155,11 +146,12 @@ class PeerLink {
     return queue_[unsent_];
   }
 
-  /// Marks next_unsent() as transmitted (bytes written or drop-injected).
+  /// Marks next_unsent() as transmitted.
   void advance_unsent() noexcept { ++unsent_; }
 
   /// Random access for WritevPlan: index of the next frame to transmit
-  /// and the frame at queue position `i` (0 = oldest unacked).
+  /// (also the count of frames sent but not yet acked) and the frame at
+  /// queue position `i` (0 = oldest unacked).
   [[nodiscard]] std::size_t unsent_index() const noexcept { return unsent_; }
   [[nodiscard]] const Outbound& frame_at(std::size_t i) const noexcept {
     return queue_[i];
@@ -170,27 +162,14 @@ class PeerLink {
   void on_ack(std::uint64_t acked, Clock::time_point now = {},
               LatencyHistogram* latency = nullptr) noexcept;
 
-  /// Rewinds transmission to the first unacked frame; counts the frames
-  /// it re-sends as retransmits and the rewind under its cause. Every
-  /// drop-injected frame is rescheduled, so this also clears
-  /// drop_unrepaired().
-  void rewind_unsent(Rewind cause) noexcept;
-
-  /// Records that the frame with this seq was drop-injected.
-  void note_dropped(std::uint64_t seq) noexcept;
-
-  /// True while a drop-injected frame is unacked and no rewind has
-  /// rescheduled it — the only state in which the retransmit timer runs.
-  [[nodiscard]] bool drop_unrepaired() const noexcept {
-    return dropped_seq_ != 0;
-  }
+  /// Rewinds transmission to the first unacked frame (a reconnect: bytes
+  /// in flight on the old connection may be lost); counts the frames it
+  /// re-sends as retransmits.
+  void rewind_unsent() noexcept;
 
   /// Earliest instant a queued-but-ineligible frame becomes transmittable
-  /// (delay injection), or time_point::max() if none.
+  /// (delay or drop injection), or time_point::max() if none.
   [[nodiscard]] Clock::time_point next_eligible_at() const noexcept;
-
-  /// Frames transmitted but not yet acked.
-  [[nodiscard]] bool in_flight() const noexcept { return unsent_ > 0; }
 
   [[nodiscard]] std::size_t queue_depth() const noexcept {
     return queue_.size();
@@ -206,7 +185,8 @@ class PeerLink {
   // ---- Inbound ordered stream ---------------------------------------
 
   /// Classifies an arriving data seq: 0 = deliver (and advances the
-  /// stream), -1 = duplicate, +1 = gap (discard, sender will rewind).
+  /// stream), -1 = duplicate, +1 = gap (ahead of the stream; no correct
+  /// peer sends one, so the caller resets the link).
   [[nodiscard]] int classify_and_advance(std::uint64_t seq) noexcept;
 
   /// Highest contiguously delivered seq (the cumulative ack we send).
@@ -229,15 +209,7 @@ class PeerLink {
   std::uint32_t backoff_ms = 0;
   /// Handshake must complete by this instant or the attempt is abandoned.
   Clock::time_point handshake_deadline{};
-  /// Drop timer: rewind at this instant unless acks pass the dropped
-  /// frame first. Armed only while drop_unrepaired().
-  Clock::time_point retransmit_deadline{};
   bool ack_pending = false;   ///< we owe the peer a cumulative ack
-  /// No-progress acks received while frames are in flight. The receiver
-  /// acks every arrival, so a no-progress ack means it is discarding
-  /// ahead-of-stream frames behind a loss — rewind (Rewind::gap) without
-  /// waiting for the drop timer.
-  std::uint32_t stale_acks = 0;
   bool read_paused = false;   ///< backpressure: stop reading this peer
   bool ever_connected = false;
   /// Sticky readiness flags (edge-triggered discipline): set by reactor
@@ -256,16 +228,9 @@ class PeerLink {
   std::uint64_t last_seq_ = 0;    ///< last assigned outbound seq
   std::uint64_t next_expected_ = 1;  ///< next inbound seq to deliver
 
-  /// Highest drop-injected seq not yet rescheduled by a rewind; 0 = none.
-  std::uint64_t dropped_seq_ = 0;
-
   // Spurious-retransmit detection (receive side). A duplicate seq means
-  // the sender rewound; it was necessary only if this receiver saw a gap
-  // since its last in-order delivery (loss recovery) or a reconnect made
-  // rewinding mandatory. Any other duplicate is a retransmit the sender
-  // did not need, e.g. its drop timer fired while our acks for the frames
-  // before the dropped one were still in flight.
-  bool gap_since_delivery_ = false;
+  // the sender rewound; only a reconnect makes that necessary. Any other
+  // duplicate is a retransmit the sender did not need.
   bool rewind_dups_expected_ = false;
 };
 
@@ -275,22 +240,18 @@ class PeerLink {
 /// place from the ring — no copies. Fixed-capacity, reusable; building a
 /// plan allocates nothing.
 ///
-/// build() reads the link without mutating it (the drop callback is the
-/// one side effect: fault draws are consumed per candidate). commit()
-/// applies the kernel's answer: it consumes write_buf, advances the
-/// unsent cursor over fully-sent and drop-injected frames in order, and
-/// spills the first partial frame's remainder into write_buf. Frames the
-/// kernel did not reach stay queued; an EAGAIN round re-draws their drop
-/// fate next time, which only reshuffles the injector's random stream.
+/// build() reads the link without mutating it. commit() applies the
+/// kernel's answer: it consumes write_buf, advances the unsent cursor over
+/// fully-sent frames in order, and spills the first partial frame's
+/// remainder into write_buf. Frames the kernel did not reach stay queued.
 class WritevPlan {
  public:
   static constexpr std::size_t kMaxFrames = 31;
   static constexpr std::size_t kMaxIovecs = 1 + 2 * kMaxFrames;
   static constexpr std::size_t kMaxBytes = 256 * 1024;
 
-  template <typename DropFn>
   void build(const PeerLink& link, Clock::time_point now,
-             bool include_frames, DropFn&& should_drop) {
+             bool include_frames) {
     iov_count_ = 0;
     frame_count_ = 0;
     total_bytes_ = 0;
@@ -310,42 +271,26 @@ class WritevPlan {
       if (f.eligible_at > now) {
         break;  // in-order stream: an ineligible frame blocks the rest
       }
-      if (should_drop()) {
-        frames_[frame_count_++] = FrameSlot{0, true};
-      } else {
-        const std::size_t bytes = f.header.size() + f.payload.size();
-        push_iov(f.header.data(), f.header.size());
-        push_iov(f.payload.data(), f.payload.size());
-        frames_[frame_count_++] = FrameSlot{bytes, false};
-        total_bytes_ += bytes;
-      }
+      const std::size_t bytes = f.header.size() + f.payload.size();
+      push_iov(f.header.data(), f.header.size());
+      push_iov(f.payload.data(), f.payload.size());
+      frame_bytes_[frame_count_++] = bytes;
+      total_bytes_ += bytes;
       ++pos;
     }
   }
 
-  [[nodiscard]] bool empty() const noexcept {
-    return iov_count_ == 0 && frame_count_ == 0;
-  }
+  [[nodiscard]] bool empty() const noexcept { return iov_count_ == 0; }
   [[nodiscard]] iovec* iov() noexcept { return iov_.data(); }
   [[nodiscard]] std::size_t iov_count() const noexcept { return iov_count_; }
-  [[nodiscard]] std::size_t frame_count() const noexcept {
-    return frame_count_;
-  }
   [[nodiscard]] std::size_t total_bytes() const noexcept {
     return total_bytes_;
   }
 
-  /// Applies `written` bytes (the sendmsg return; 0 is valid and still
-  /// commits leading drop-injected frames) to the link. Returns true if
-  /// it committed a drop-injected frame, which arms the drop timer.
-  bool commit(PeerLink& link, std::size_t written) const;
+  /// Applies `written` bytes (the sendmsg return) to the link.
+  void commit(PeerLink& link, std::size_t written) const;
 
  private:
-  struct FrameSlot {
-    std::size_t bytes = 0;
-    bool dropped = false;
-  };
-
   void push_iov(const std::byte* data, std::size_t len) noexcept {
     // sendmsg never writes through the iovec; the const_cast only
     // satisfies the POSIX struct.
@@ -354,7 +299,7 @@ class WritevPlan {
   }
 
   std::array<iovec, kMaxIovecs> iov_{};
-  std::array<FrameSlot, kMaxFrames> frames_{};
+  std::array<std::size_t, kMaxFrames> frame_bytes_{};
   std::size_t iov_count_ = 0;
   std::size_t frame_count_ = 0;
   std::size_t total_bytes_ = 0;

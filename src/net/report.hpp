@@ -8,18 +8,15 @@
 //     all_correct_decided, agreement, timed_out, value,
 //     elapsed_seconds,
 //     totals: { delivered, sent, bytes_out, reconnects, retransmits,
-//               spurious_retransmits, rewinds_reconnect, rewinds_gap,
-//               rewinds_drop_timer, msgs_per_sec, decisions_per_sec,
+//               spurious_retransmits, msgs_per_sec, decisions_per_sec,
 //               latency: { count, mean_ms, p50_ms, p99_ms, p999_ms } },
 //     nodes: [ { id, correct, decision, phase, crashed, error,
 //                events, msgs_sent, msgs_delivered, read_pauses,
 //                latency: { count, mean_ms, p50_ms, p99_ms, p999_ms },
 //                peers: [ { bytes_out, bytes_in, msgs_out, msgs_in,
 //                           reconnects, retransmits, spurious_retransmits,
-//                           rewinds_reconnect, rewinds_gap,
-//                           rewinds_drop_timer, drops_injected, delays_injected, dup_frames,
-//                           gap_frames, overflow_drops,
-//                           queue_peak } ] } ] }
+//                           drops_injected, delays_injected, dup_frames,
+//                           gap_frames, overflow_drops, queue_peak } ] } ] }
 //
 // Latency is per-frame enqueue → cumulative-ack release at the sender:
 // it covers queueing, the vectored send, the peer's delivery and its ack
@@ -58,9 +55,6 @@ inline void write_peer_counters(bench::JsonWriter& j,
   j.field("reconnects", pc.reconnects);
   j.field("retransmits", pc.retransmits);
   j.field("spurious_retransmits", pc.spurious_retransmits);
-  j.field("rewinds_reconnect", pc.rewinds_reconnect);
-  j.field("rewinds_gap", pc.rewinds_gap);
-  j.field("rewinds_drop_timer", pc.rewinds_drop_timer);
   j.field("drops_injected", pc.drops_injected);
   j.field("delays_injected", pc.delays_injected);
   j.field("dup_frames", pc.dup_frames);
@@ -136,9 +130,6 @@ inline void write_cluster_report(bench::JsonWriter& j,
   j.field("reconnects", result.total_reconnects);
   j.field("retransmits", result.total_retransmits);
   j.field("spurious_retransmits", result.total_spurious_retransmits);
-  j.field("rewinds_reconnect", result.total_rewinds_reconnect);
-  j.field("rewinds_gap", result.total_rewinds_gap);
-  j.field("rewinds_drop_timer", result.total_rewinds_drop_timer);
   j.field("msgs_per_sec",
           static_cast<double>(result.total_delivered) / elapsed);
   j.field("decisions_per_sec", static_cast<double>(decided) / elapsed);

@@ -1,8 +1,9 @@
 // Per-peer and per-node transport counters.
 //
 // The counters answer the operational questions the simulator's Metrics
-// cannot: how many bytes crossed each link, how often links flapped, how
-// deep the send queues ran, and how much work the fault injector did.
+// cannot: how many bytes crossed each link, how often links flapped (and
+// how many frames each reconnect resent), how deep the send queues ran,
+// and how much work the fault injector did.
 // examples/net_cluster exports them through the bench_json.hpp writer
 // (schema rcp-net-v1) next to the simulator's rcp-bench-v1 reports.
 #pragma once
@@ -89,22 +90,17 @@ struct PeerCounters {
   std::uint64_t msgs_out = 0;       ///< data frames enqueued to this peer
   std::uint64_t msgs_in = 0;        ///< data frames delivered from this peer
   std::uint64_t reconnects = 0;     ///< successful re-establishments
-  std::uint64_t retransmits = 0;    ///< frames re-sent by go-back-N
-  /// Rewinds that re-sent at least one frame, by cause (net/peer.hpp's
-  /// Rewind): a re-established connection, repeated no-progress acks,
-  /// and the drop timer, which only drop injection arms.
-  std::uint64_t rewinds_reconnect = 0;
-  std::uint64_t rewinds_gap = 0;
-  std::uint64_t rewinds_drop_timer = 0;
-  std::uint64_t drops_injected = 0; ///< transmissions skipped by fault plan
-  std::uint64_t delays_injected = 0;///< frames given a non-zero hold
+  /// Frames re-sent by the go-back-N rewind of a reconnect, the only
+  /// rewind there is.
+  std::uint64_t retransmits = 0;
+  std::uint64_t drops_injected = 0; ///< frames held kDropHoldMs by fault plan
+  std::uint64_t delays_injected = 0;///< frames given a non-zero delay
   std::uint64_t dup_frames = 0;     ///< already-delivered seqs discarded
-  std::uint64_t gap_frames = 0;     ///< ahead-of-stream seqs discarded
-  /// Duplicates not explained by loss recovery or a reconnect: the peer
-  /// rewound frames we already had, e.g. its drop timer fired while our
-  /// acks for the frames before the dropped one were in flight. Only a
-  /// drop-injected frame rewinds a live connection, so runs without drop
-  /// injection read zero.
+  /// Ahead-of-stream seqs: no correct peer sends one, so each resets the
+  /// link and the reconnect rewind repairs the stream.
+  std::uint64_t gap_frames = 0;
+  /// Duplicates no reconnect explains: the peer rewound frames we already
+  /// had. Only a reconnect rewinds a link, so correct runs read zero.
   std::uint64_t spurious_retransmits = 0;
   std::uint64_t overflow_drops = 0; ///< messages dropped at the queue bound
   std::size_t queue_depth = 0;      ///< current outbound queue length

@@ -43,7 +43,7 @@ void drive_round(PeerLink& link, WritevPlan& plan, LatencyHistogram& hist,
     ASSERT_TRUE(link.enqueue(small_payload(i), now, kNoBound, now));
   }
   while (true) {
-    plan.build(link, now, /*include_frames=*/true, [] { return false; });
+    plan.build(link, now, /*include_frames=*/true);
     if (plan.empty()) {
       break;
     }
@@ -52,7 +52,7 @@ void drive_round(PeerLink& link, WritevPlan& plan, LatencyHistogram& hist,
     const std::size_t written = partial_writes
                                     ? (plan.total_bytes() + 1) / 2
                                     : plan.total_bytes();
-    (void)plan.commit(link, written);
+    plan.commit(link, written);
   }
   acked += kBatch;
   link.on_ack(acked, now, &hist);
@@ -112,15 +112,14 @@ TEST(NetAllocation, RetransmitRewindIsAllocationFree) {
     ASSERT_TRUE(link.enqueue(small_payload(i), now, kNoBound, now));
   }
   const std::uint64_t before = test::allocations();
-  // Go-back-N: send the window, rewind as the drop timer would, resend,
-  // ack.
+  // Go-back-N: send the window, rewind as a reconnect does, resend, ack.
   for (int round = 0; round < 50; ++round) {
-    plan.build(link, now, /*include_frames=*/true, [] { return false; });
-    (void)plan.commit(link, plan.total_bytes());
-    link.rewind_unsent(Rewind::drop_timer);
+    plan.build(link, now, /*include_frames=*/true);
+    plan.commit(link, plan.total_bytes());
+    link.rewind_unsent();
   }
-  plan.build(link, now, /*include_frames=*/true, [] { return false; });
-  (void)plan.commit(link, plan.total_bytes());
+  plan.build(link, now, /*include_frames=*/true);
+  plan.commit(link, plan.total_bytes());
   acked += kBatch;
   link.on_ack(acked, now, &hist);
   EXPECT_EQ(test::allocations() - before, 0u)

@@ -1,10 +1,17 @@
 // Transport reliability: PeerLink's reliable-stream bookkeeping, the
 // receiver's spurious-retransmit classification, the fault injector's
-// determinism, and a live two-node socket exchange that must deliver
-// exactly once, in order, through injected disconnects and drops — and
-// must resend nothing when the receiver is merely slow.
+// determinism, a node that resets a link on an ahead-of-stream seq, and a
+// live two-node socket exchange that must deliver exactly once, in order,
+// through injected disconnects and drops — and must resend nothing when
+// the receiver is merely slow or the frames are drop-injected.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <memory>
@@ -12,9 +19,12 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/byzantine.hpp"
 #include "common/process.hpp"
 #include "net/cluster.hpp"
 #include "net/fault.hpp"
+#include "net/frame.hpp"
+#include "net/node.hpp"
 #include "net/peer.hpp"
 
 namespace rcp::net {
@@ -51,13 +61,13 @@ TEST(PeerLink, CumulativeAckReleasesPrefix) {
     ASSERT_TRUE(link.enqueue(two_bytes(i), now, kNoBound));
     link.advance_unsent();
   }
-  EXPECT_TRUE(link.in_flight());
+  EXPECT_EQ(link.unsent_index(), 5u);  // five frames in flight
   link.on_ack(3);
   EXPECT_EQ(link.queue_depth(), 2u);
-  EXPECT_TRUE(link.in_flight());
+  EXPECT_EQ(link.unsent_index(), 2u);
   link.on_ack(5);
   EXPECT_EQ(link.queue_depth(), 0u);
-  EXPECT_FALSE(link.in_flight());
+  EXPECT_EQ(link.unsent_index(), 0u);
 }
 
 TEST(PeerLink, RewindRetransmitsUnackedFrames) {
@@ -69,55 +79,14 @@ TEST(PeerLink, RewindRetransmitsUnackedFrames) {
     link.advance_unsent();
   }
   link.on_ack(1);  // frames 2..4 still unacked
-  link.rewind_unsent(Rewind::gap);
+  link.rewind_unsent();  // a reconnect: the old connection's bytes are gone
   EXPECT_EQ(link.counters.retransmits, 3u);
-  EXPECT_EQ(link.counters.rewinds_gap, 1u);
-  EXPECT_FALSE(link.in_flight());
+  EXPECT_EQ(link.unsent_index(), 0u);
   EXPECT_TRUE(link.transmittable(Clock::now()));
   EXPECT_EQ(link.next_unsent().seq, 2u);
-  // A rewind with nothing in flight re-sends nothing and is not counted.
-  link.rewind_unsent(Rewind::reconnect);
-  EXPECT_EQ(link.counters.rewinds_reconnect, 0u);
+  // A rewind with nothing in flight re-sends nothing.
+  link.rewind_unsent();
   EXPECT_EQ(link.counters.retransmits, 3u);
-}
-
-// The drop timer's arming state: set by a drop-injected commit, kept while
-// acks stay below the dropped frame, cleared by an ack past it or by any
-// rewind (which reschedules the dropped frame).
-TEST(PeerLink, OnlyDropInjectedFramesLeaveALossToRepair) {
-  PeerLink link;
-  link.init(1, {}, false);
-  const auto now = Clock::now();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(link.enqueue(two_bytes(i), now, kNoBound));
-  }
-  WritevPlan plan;
-  plan.build(link, now, /*include_frames=*/true, [] { return false; });
-  EXPECT_FALSE(plan.commit(link, plan.total_bytes()))
-      << "a clean send must not arm the drop timer";
-  EXPECT_FALSE(link.drop_unrepaired());
-
-  ASSERT_TRUE(link.enqueue(two_bytes(4), now, kNoBound));  // seq 5
-  ASSERT_TRUE(link.enqueue(two_bytes(5), now, kNoBound));  // seq 6
-  int draw = 0;
-  plan.build(link, now, /*include_frames=*/true,
-             [&draw] { return draw++ == 0; });  // drop seq 5, send seq 6
-  EXPECT_TRUE(plan.commit(link, plan.total_bytes()));
-  EXPECT_EQ(link.counters.drops_injected, 1u);
-  EXPECT_TRUE(link.drop_unrepaired());
-  link.on_ack(4);
-  EXPECT_TRUE(link.drop_unrepaired()) << "ack still short of the hole";
-  link.rewind_unsent(Rewind::drop_timer);
-  EXPECT_FALSE(link.drop_unrepaired()) << "the rewind resends seq 5";
-  EXPECT_EQ(link.counters.rewinds_drop_timer, 1u);
-
-  draw = 0;
-  plan.build(link, now, /*include_frames=*/true,
-             [&draw] { return draw++ == 1; });  // resend 5, drop 6 again
-  EXPECT_TRUE(plan.commit(link, plan.total_bytes()));
-  EXPECT_TRUE(link.drop_unrepaired());
-  link.on_ack(6);
-  EXPECT_FALSE(link.drop_unrepaired()) << "the peer has every frame";
 }
 
 TEST(PeerLink, BoundedQueueDropsNewestAtBound) {
@@ -141,8 +110,10 @@ TEST(PeerLink, InboundClassifiesDupDeliverGap) {
   link.init(1, {}, false);
   EXPECT_EQ(link.classify_and_advance(1), 0);   // deliver
   EXPECT_EQ(link.classify_and_advance(1), -1);  // duplicate
-  EXPECT_EQ(link.classify_and_advance(3), 1);   // gap (2 missing)
-  EXPECT_EQ(link.classify_and_advance(2), 0);   // the retransmit arrives
+  // Gap (2 missing): the node resets the link on it, and the peer's
+  // reconnect rewind resends 2 next.
+  EXPECT_EQ(link.classify_and_advance(3), 1);
+  EXPECT_EQ(link.classify_and_advance(2), 0);
   EXPECT_EQ(link.delivered_seq(), 2u);
   EXPECT_EQ(link.counters.dup_frames, 1u);
   EXPECT_EQ(link.counters.gap_frames, 1u);
@@ -170,23 +141,6 @@ TEST(SpuriousRetransmits, DuplicateWithoutLossContextIsSpurious) {
   // rewound frames this receiver already had.
   EXPECT_EQ(link.classify_and_advance(1), -1);
   EXPECT_EQ(link.counters.dup_frames, 1u);
-  EXPECT_EQ(link.counters.spurious_retransmits, 1u);
-}
-
-TEST(SpuriousRetransmits, DuplicatesDuringGapRecoveryAreNecessary) {
-  PeerLink link;
-  link.init(1, {}, false);
-  EXPECT_EQ(link.classify_and_advance(1), 0);
-  // Frame 2 was lost; 3 arrives ahead of stream.
-  EXPECT_EQ(link.classify_and_advance(3), 1);
-  // The rewind replays 1 before filling the gap — not spurious.
-  EXPECT_EQ(link.classify_and_advance(1), -1);
-  EXPECT_EQ(link.counters.spurious_retransmits, 0u);
-  // In-order delivery resumes and closes the loss episode.
-  EXPECT_EQ(link.classify_and_advance(2), 0);
-  EXPECT_EQ(link.classify_and_advance(3), 0);
-  // A later duplicate with no fresh gap is spurious again.
-  EXPECT_EQ(link.classify_and_advance(3), -1);
   EXPECT_EQ(link.counters.spurious_retransmits, 1u);
 }
 
@@ -248,14 +202,27 @@ TEST(FaultInjector, DisconnectEventsFireOnce) {
   plan.disconnects.push_back({.peer = 4, .after_delivered = 10});
   plan.disconnects.push_back({.peer = 5, .after_delivered = 50});
   FaultInjector inj(plan, 1);
-  EXPECT_TRUE(inj.due_disconnects(9).empty());
-  const auto first = inj.due_disconnects(10);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_TRUE(inj.due_disconnects(10).empty());  // fired, never again
-  const auto second = inj.due_disconnects(60);
+  // Fires the matured events against links that are up (or down), and
+  // returns the peers it cut.
+  const auto fire = [&inj](std::uint64_t delivered, bool links_up) {
+    std::vector<ProcessId> cut;
+    inj.fire_due_disconnects(delivered, [&](ProcessId p) {
+      if (links_up) {
+        cut.push_back(p);
+      }
+      return links_up;
+    });
+    return cut;
+  };
+  EXPECT_TRUE(fire(9, true).empty());
+  EXPECT_EQ(fire(10, true).size(), 2u);
+  EXPECT_TRUE(fire(10, true).empty());  // fired, never again
+  // A matured event whose link is down waits for the link to come up.
+  EXPECT_TRUE(fire(60, false).empty());
+  const auto second = fire(60, true);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0], 5u);
-  EXPECT_TRUE(inj.due_disconnects(1000).empty());
+  EXPECT_TRUE(fire(1000, true).empty());
 }
 
 // ---- Live two-node exchange --------------------------------------------
@@ -329,18 +296,16 @@ TEST(Transport, StreamSurvivesInjectedDisconnects) {
   EXPECT_EQ(receiver.received, kStreamLen);
   EXPECT_EQ(receiver.violations, 0u);
   EXPECT_GE(result.total_reconnects, 1u);
-  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
+// A drop is a delay: each dropped frame is held kDropHoldMs and every
+// later frame waits behind it, so the stream arrives exactly once, in
+// order, and nothing is ever resent.
 TEST(Transport, StreamSurvivesDropInjection) {
   ClusterConfig cfg;
   cfg.n = 2;
   cfg.seed = 11;
   cfg.timeout_ms = 20000;
-  // Recovery of a burst-with-holes proceeds one go-back-N round per lost
-  // prefix frame; a dropped tail waits for the drop timer, and a short
-  // one keeps those rounds fast.
-  cfg.limits.retransmit_timeout_ms = 10;
   cfg.link_faults.drop_probability = 0.2;
   Cluster cluster(cfg, stream_factory());
   const ClusterResult result = cluster.run();
@@ -350,20 +315,14 @@ TEST(Transport, StreamSurvivesDropInjection) {
       static_cast<const StreamReceiver&>(cluster.node(1).process());
   EXPECT_EQ(receiver.received, kStreamLen);
   EXPECT_EQ(receiver.violations, 0u);
-  // With p=0.2 over 200 frames, drops are certain; every one of them must
-  // have been recovered by a retransmission.
-  const auto& sender_stats = cluster.node(0).stats();
+  // With p=0.2 over 200 frames, drops are certain.
   std::uint64_t drops = 0;
-  std::uint64_t retransmits = 0;
-  for (const PeerCounters& pc : sender_stats.peers) {
+  for (const PeerCounters& pc : cluster.node(0).stats().peers) {
     drops += pc.drops_injected;
-    retransmits += pc.retransmits;
   }
   EXPECT_GT(drops, 0u);
-  EXPECT_GE(retransmits, drops);
-  // Holes with frames behind them are found by no-progress acks, not by
-  // waiting out the timer.
-  EXPECT_GT(result.total_rewinds_gap, 0u);
+  EXPECT_EQ(result.total_retransmits, 0u);
+  EXPECT_EQ(result.total_spurious_retransmits, 0u);
 }
 
 /// Test-only decorator: forwards every callback to `inner`, but blocks the
@@ -398,14 +357,12 @@ class StallingProcess final : public sim::Process {
 
 // The paper's channel may delay arbitrarily; delay is not loss. The sender
 // has the whole stream in flight while the receiver sits in on_message for
-// longer than the retransmit timeout, and must still resend nothing.
+// 150 ms, and must still resend nothing.
 TEST(Transport, SlowReceiverCausesNoRetransmits) {
   ClusterConfig cfg;
   cfg.n = 2;
   cfg.seed = 5;
   cfg.timeout_ms = 20000;
-  ASSERT_LT(cfg.limits.retransmit_timeout_ms,
-            static_cast<std::uint32_t>(StallingProcess::kStall.count()));
   Cluster cluster(cfg, [](ProcessId id) -> std::unique_ptr<sim::Process> {
     if (id == 0) {
       return std::make_unique<StreamSender>();
@@ -423,7 +380,6 @@ TEST(Transport, SlowReceiverCausesNoRetransmits) {
   EXPECT_EQ(receiver.violations, 0u);
   EXPECT_EQ(result.total_retransmits, 0u);
   EXPECT_EQ(result.total_spurious_retransmits, 0u);
-  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 // ---- Partial writes under tiny socket buffers ---------------------------
@@ -506,7 +462,6 @@ TEST(Transport, FramesSurviveShortWritesAndReconnects) {
   EXPECT_EQ(receiver.received, kBigLen);
   EXPECT_EQ(receiver.violations, 0u);
   EXPECT_GE(result.total_reconnects, 1u);
-  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
 }
 
 TEST(Transport, DelayInjectionStillDeliversAll) {
@@ -525,7 +480,71 @@ TEST(Transport, DelayInjectionStillDeliversAll) {
   EXPECT_EQ(receiver.violations, 0u);
   // Held frames are late, not lost: nothing is resent.
   EXPECT_EQ(result.total_retransmits, 0u);
-  EXPECT_EQ(result.total_rewinds_drop_timer, 0u);
+}
+
+// ---- An ahead-of-stream seq resets the link ---------------------------
+
+/// Plays node 1 of a two-node cluster over a blocking socket: handshake,
+/// then the data frames with the given seqs. Returns true once node 0
+/// closes the connection (EOF or reset), false if it stays open for 5 s.
+bool send_seqs_until_closed(std::uint16_t port,
+                            const std::vector<std::uint64_t>& seqs) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return false;
+  }
+  const timeval timeout{.tv_sec = 5, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool closed = false;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    std::vector<std::byte> wire;
+    append_hello(wire, /*node_id=*/1, /*n=*/2);
+    for (const std::uint64_t seq : seqs) {
+      append_data(wire, seq, two_bytes(static_cast<std::uint32_t>(seq)));
+    }
+    if (::write(fd, wire.data(), wire.size()) ==
+        static_cast<ssize_t>(wire.size())) {
+      std::byte buf[256];
+      while (true) {
+        const ssize_t got = ::read(fd, buf, sizeof(buf));
+        if (got > 0) {
+          continue;  // the node's hello and acks
+        }
+        closed = got == 0 || errno == ECONNRESET;
+        break;
+      }
+    }
+  }
+  ::close(fd);
+  return closed;
+}
+
+// A correct peer's stream has no holes (an injected drop holds a frame
+// back, it never skips one), so a seq ahead of the stream is input from
+// outside the program: the node delivers what came in order, then resets
+// the link instead of waiting behind the hole.
+TEST(Transport, AheadOfStreamSeqResetsTheLink) {
+  NodeConfig cfg;
+  cfg.id = 0;
+  cfg.n = 2;
+  Node node(std::move(cfg), std::make_unique<adversary::SilentByzantine>());
+  const std::uint16_t port = node.listen();
+  std::thread runner([&node] { node.run(); });
+  const bool closed = send_seqs_until_closed(port, {1, 3});
+  node.request_stop();
+  runner.join();
+
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(node.error().empty()) << node.error();
+  const PeerCounters& from_peer = node.stats().peers[1];
+  EXPECT_EQ(from_peer.msgs_in, 1u);
+  EXPECT_EQ(from_peer.gap_frames, 1u);
+  EXPECT_EQ(node.stats().msgs_delivered, 1u);
 }
 
 }  // namespace

@@ -28,9 +28,8 @@ Three input formats are understood:
   ``fig1_n100_shared4`` etc.) and compared on ``msgs_per_sec``, against
   the ``net`` baseline section. A run that did not decide (``ok: false``)
   fails outright, and so does a run that resent any frame
-  (``retransmits`` > 0, or the count missing): the sweep injects no
-  faults, and on a live TCP connection only an injected drop or a
-  reconnect can lose a frame.
+  (``retransmits`` > 0, or the count missing): only a reconnect rewinds
+  a link, and the sweep injects no faults.
 
 A baseline entry with no counterpart in the fresh output is an error —
 renaming or dropping a benchmark must be an explicit baseline edit, never
